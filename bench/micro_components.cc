@@ -76,6 +76,38 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
+/**
+ * LLC-geometry lookup + victim choice: 2048x16 is the single-core
+ * LLC, 16384x16 the 8-core one. The footprint is twice the capacity,
+ * visited as one fixed scattered cycle (an odd stride modulo the
+ * power-of-two footprint), so every set sees the same 2 * ways blocks
+ * in the same order: under LRU every access misses and evicts, and
+ * the host walks the set arrays in random order, as the simulator's
+ * LLC traffic does. Misses complete locally (no lower level) so only
+ * the cache is timed.
+ */
+static void
+BM_CacheAccessLlc(benchmark::State &state)
+{
+    CacheConfig cfg;
+    cfg.sets = static_cast<std::uint32_t>(state.range(0));
+    cfg.ways = static_cast<std::uint32_t>(state.range(1));
+    cfg.latency = 20;
+    cfg.mshr_entries = 64;
+    Cache cache(cfg, nullptr);
+    const Addr mask = Addr{2} * cfg.sets * cfg.ways - 1;  // pow2 - 1
+    Addr k = 0;
+    Cycle now = 0;
+    for (auto _ : state) {
+        const Addr block = (k++ * 0x9E3779B1ull) & mask;
+        benchmark::DoNotOptimize(cache.access(
+            PhysAddr{block << kBlockBits}, AccessType::kLoad, now));
+        now += 2;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheAccessLlc)->Args({2048, 16})->Args({16384, 16});
+
 static void
 BM_TlbLookup(benchmark::State &state)
 {
@@ -140,6 +172,38 @@ BM_PrefetcherOperate(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PrefetcherOperate)->Arg(0)->Arg(1)->Arg(2);
+
+/**
+ * Berti training: 64 PCs (the IP table's capacity), each walking its
+ * own repeating pattern of mixed deltas, so every IP's delta table
+ * fills and the weakest-candidate replacement keeps running.
+ */
+static void
+BM_BertiTrain(benchmark::State &state)
+{
+    Berti berti(BertiConfig{});
+    const std::int64_t steps[] = {3, -1, 5, 2, -4, 7, 1, -6};
+    std::vector<std::int64_t> line(64);
+    for (std::size_t p = 0; p < line.size(); ++p) {
+        line[p] = std::int64_t(1 + p) << 24;
+    }
+    std::vector<PrefetchRequest> out;
+    PrefetchContext ctx;
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        const std::size_t pc = i % 64;
+        line[pc] += steps[(i / 64 + pc) % 8];
+        ctx.pc = 0x400000 + pc * 4;
+        ctx.vaddr = VirtAddr{static_cast<Addr>(line[pc]) << kBlockBits};
+        ctx.now += 7;
+        out.clear();
+        berti.on_access(ctx, out);
+        benchmark::DoNotOptimize(out.size());
+        ++i;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BertiTrain);
 
 static void
 BM_SimulatedMips(benchmark::State &state)

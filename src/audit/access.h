@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cache/cache.h"
-#include "cache/replacement.h"
 #include "common/sat_counter.h"
 #include "common/types.h"
 #include "dram/dram.h"
@@ -40,6 +39,20 @@ struct AuditAccess
     // Cache
     // ----------------------------------------------------------------
 
+    /** Index of (set, way)'s kFlag* byte in the metadata rows. */
+    static std::size_t
+    flag_index(const Cache &c, std::uint32_t set, std::uint32_t way)
+    {
+        return static_cast<std::size_t>(set) * 2 * c.cfg_.ways + way;
+    }
+
+    /** Index of (set, way)'s replacement byte in the metadata rows. */
+    static std::size_t
+    repl_index(const Cache &c, std::uint32_t set, std::uint32_t way)
+    {
+        return flag_index(c, set, way) + c.cfg_.ways;
+    }
+
     /** Value snapshot of one cache block (private Cache::Block). */
     struct BlockView
     {
@@ -56,7 +69,7 @@ struct AuditAccess
     {
         const std::size_t i =
             static_cast<std::size_t>(set) * c.cfg_.ways + way;
-        const std::uint8_t f = c.flags_[i];
+        const std::uint8_t f = c.meta_[flag_index(c, set, way)];
         return {c.tags_[i] & ~Cache::kValidTagBit,
                 (c.tags_[i] & Cache::kValidTagBit) != 0,
                 (f & Cache::kFlagDirty) != 0,
@@ -71,10 +84,20 @@ struct AuditAccess
         return c.inflight_.size();
     }
 
-    static const ReplacementPolicy &
-    cache_replacement(const Cache &c)
+    /** Replacement byte (LRU rank / SRRIP RRPV) of (set, way). */
+    static std::uint8_t
+    cache_replacement_byte(const Cache &c, std::uint32_t set,
+                           std::uint32_t way)
     {
-        return *c.repl_;
+        return c.meta_[repl_index(c, set, way)];
+    }
+
+    /** Corruption: overwrite the replacement byte of (set, way). */
+    static void
+    corrupt_cache_replacement_byte(Cache &c, std::uint32_t set,
+                                   std::uint32_t way, std::uint8_t v)
+    {
+        c.meta_[repl_index(c, set, way)] = v;
     }
 
     /** Corruption: flip the PCB of block (set, way). */
@@ -82,12 +105,11 @@ struct AuditAccess
     corrupt_cache_pcb(Cache &c, std::uint32_t set, std::uint32_t way,
                       bool pgc)
     {
-        const std::size_t i =
-            static_cast<std::size_t>(set) * c.cfg_.ways + way;
+        const std::size_t i = flag_index(c, set, way);
         if (pgc) {
-            c.flags_[i] |= Cache::kFlagPgc;
+            c.meta_[i] |= Cache::kFlagPgc;
         } else {
-            c.flags_[i] &= static_cast<std::uint8_t>(~Cache::kFlagPgc);
+            c.meta_[i] &= static_cast<std::uint8_t>(~Cache::kFlagPgc);
         }
     }
 
@@ -99,7 +121,7 @@ struct AuditAccess
             static_cast<std::size_t>(set) * c.cfg_.ways;
         c.tags_[base] |= Cache::kValidTagBit;
         c.tags_[base + 1] = c.tags_[base];
-        c.flags_[base + 1] = c.flags_[base];
+        c.meta_[flag_index(c, set, 1)] = c.meta_[flag_index(c, set, 0)];
         c.fill_done_[base + 1] = c.fill_done_[base];
     }
 

@@ -1,6 +1,7 @@
 #include "cache/cache.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/bitops.h"
 #include "common/check.h"
@@ -11,15 +12,23 @@ namespace moka {
 Cache::Cache(const CacheConfig &config, MemoryLevel *lower)
     : cfg_(config), lower_(lower),
       tags_(static_cast<std::size_t>(config.sets) * config.ways, 0),
-      flags_(static_cast<std::size_t>(config.sets) * config.ways, 0),
-      fill_done_(static_cast<std::size_t>(config.sets) * config.ways, 0),
-      repl_(make_replacement(config.replacement, config.sets,
-                             config.ways))
+      meta_(static_cast<std::size_t>(config.sets) * config.ways * 2, 0),
+      fill_done_(static_cast<std::size_t>(config.sets) * config.ways, 0)
 {
     SIM_REQUIRE(is_pow2(cfg_.sets), "cache sets must be a power of two");
     SIM_REQUIRE(cfg_.ways > 0, "cache must have at least one way");
-    if (cfg_.replacement == ReplacementKind::kLru) {
-        lru_ = static_cast<LruPolicy *>(repl_.get());
+    SIM_REQUIRE(cfg_.ways <= 256, "LRU ranks are one byte per way");
+    // Initial replacement bytes: LRU ranks 0..ways-1 in way order,
+    // SRRIP RRPVs at the distant-re-reference rail.
+    if (cfg_.replacement != ReplacementKind::kRandom) {
+        for (std::size_t base = 0; base < tags_.size(); base += cfg_.ways) {
+            std::uint8_t *repl = &meta_[2 * base] + cfg_.ways;
+            if (cfg_.replacement == ReplacementKind::kLru) {
+                std::iota(repl, repl + cfg_.ways, std::uint8_t{0});
+            } else {
+                std::fill_n(repl, cfg_.ways, kMaxRrpv);
+            }
+        }
     }
     // MSHR occupancy is bounded at mshr_entries by the eviction in
     // access(); reserving here keeps the per-access path allocation
@@ -27,25 +36,26 @@ Cache::Cache(const CacheConfig &config, MemoryLevel *lower)
     inflight_.reserve(cfg_.mshr_entries);
 }
 
-std::uint32_t
-Cache::set_index(PhysAddr paddr) const
+std::size_t
+Cache::set_base(PhysAddr paddr) const
 {
-    return static_cast<std::uint32_t>(block_number(paddr) &
-                                      (cfg_.sets - 1));
+    const std::size_t set = block_number(paddr) & (cfg_.sets - 1);
+    return set * cfg_.ways;
 }
 
 Cache::SetRef
-Cache::set_ref(PhysAddr paddr) const
+Cache::set_ref(PhysAddr paddr)
 {
-    const std::uint32_t set = set_index(paddr);
-    return {set, static_cast<std::size_t>(set) * cfg_.ways};
+    const std::size_t base = set_base(paddr);
+    std::uint8_t *flags = &meta_[2 * base];
+    return {base, flags, flags + cfg_.ways};
 }
 
 std::uint32_t
-Cache::find(const SetRef &ref, Addr tag) const
+Cache::find(std::size_t base, Addr tag) const
 {
     const Addr key = tag | kValidTagBit;
-    const Addr *row = &tags_[ref.base];
+    const Addr *row = &tags_[base];
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         if (row[w] == key) {
             return w;
@@ -57,7 +67,7 @@ Cache::find(const SetRef &ref, Addr tag) const
 bool
 Cache::probe(PhysAddr paddr) const
 {
-    return find(set_ref(paddr), block_number(paddr)) != kNoWay;
+    return find(set_base(paddr), block_number(paddr)) != kNoWay;
 }
 
 unsigned
@@ -73,9 +83,9 @@ Cache::inflight_misses(Cycle now) const
 }
 
 void
-Cache::mark_used(std::size_t idx)
+Cache::mark_used(const SetRef &ref, std::uint32_t way)
 {
-    const std::uint8_t f = flags_[idx];
+    const std::uint8_t f = ref.flags[way];
     if ((f & kFlagPrefetched) != 0 && (f & kFlagUsed) == 0) {
         ++stats_.pf.useful;
         if ((f & kFlagPgc) != 0) {
@@ -83,12 +93,42 @@ Cache::mark_used(std::size_t idx)
             if (listener_ != nullptr) {
                 // Tags store raw block numbers; reconstruct the typed
                 // physical address on the way out.
-                listener_->on_pgc_first_use(
-                    PhysAddr{(tags_[idx] & ~kValidTagBit) << kBlockBits});
+                listener_->on_pgc_first_use(PhysAddr{
+                    (tags_[ref.base + way] & ~kValidTagBit) << kBlockBits});
             }
         }
     }
-    flags_[idx] = f | kFlagUsed;
+    ref.flags[way] = f | kFlagUsed;
+}
+
+void
+Cache::touch(const SetRef &ref, std::uint32_t way, bool fill)
+{
+    std::uint8_t *repl = ref.repl;
+    switch (cfg_.replacement) {
+      case ReplacementKind::kLru: {
+        // Move @p way to the front of the recency order: every way
+        // more recent than it ages by one. Branch-free so the loop
+        // vectorizes; the bound is a local because stores through the
+        // byte pointer may alias cfg_.
+        const std::uint32_t ways = cfg_.ways;
+        const std::uint8_t rank = repl[way];
+        if (rank == 0) {
+            break;  // already the most recent way
+        }
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            repl[w] = static_cast<std::uint8_t>(repl[w] + (repl[w] < rank));
+        }
+        repl[way] = 0;
+        break;
+      }
+      case ReplacementKind::kSrrip:
+        // Hit: near-immediate re-reference; fill: long re-reference.
+        repl[way] = fill ? kMaxRrpv - 1 : 0;
+        break;
+      case ReplacementKind::kRandom:
+        break;
+    }
 }
 
 std::uint32_t
@@ -100,12 +140,48 @@ Cache::pick_victim(const SetRef &ref, Cycle now)
             return w;
         }
     }
-    const std::uint32_t way =
-        lru_ != nullptr ? lru_->victim(ref.set) : repl_->victim(ref.set);
+    // Every way is valid, so every way has been filled at least once
+    // and the LRU ranks order the ways exactly as fill/hit recency.
+    std::uint32_t way = kNoWay;
+    switch (cfg_.replacement) {
+      case ReplacementKind::kLru: {
+        const std::uint8_t last = static_cast<std::uint8_t>(cfg_.ways - 1);
+        for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+            if (ref.repl[w] == last) {
+                way = w;
+                break;
+            }
+        }
+        break;
+      }
+      case ReplacementKind::kSrrip: {
+        const std::uint32_t ways = cfg_.ways;
+        while (way == kNoWay) {
+            for (std::uint32_t w = 0; w < ways; ++w) {
+                if (ref.repl[w] == kMaxRrpv) {
+                    way = w;
+                    break;
+                }
+            }
+            if (way == kNoWay) {
+                for (std::uint32_t w = 0; w < ways; ++w) {
+                    ++ref.repl[w];
+                }
+            }
+        }
+        break;
+      }
+      case ReplacementKind::kRandom:
+        way = static_cast<std::uint32_t>(rng_.below(cfg_.ways));
+        break;
+    }
     SIM_AUDIT(way < cfg_.ways,
-              "replacement policy chose a way outside the set");
+              "replacement state names no victim way in the set");
+    if (way >= cfg_.ways) {
+        way = 0;  // corrupt ranks: stay in bounds (audit reports it)
+    }
     const std::size_t idx = ref.base + way;
-    const std::uint8_t f = flags_[idx];
+    const std::uint8_t f = ref.flags[way];
     const Addr tag = tags_[idx] & ~kValidTagBit;
 
     // Evict: resolve prefetch usefulness and write back dirt.
@@ -131,6 +207,24 @@ Cache::pick_victim(const SetRef &ref, Cycle now)
     return way;
 }
 
+void
+Cache::drain_mshrs(Cycle t)
+{
+    // Retire fills complete by @p t, compacting in place in order (the
+    // saved MSHR list keeps its order), and re-derive the earliest
+    // outstanding completion.
+    std::size_t n = 0;
+    Cycle earliest = kNoCycle;
+    for (const Cycle c : inflight_) {
+        if (c > t) {
+            inflight_[n++] = c;
+            earliest = std::min(earliest, c);
+        }
+    }
+    inflight_.resize(n);
+    earliest_ = earliest;
+}
+
 AccessResult
 Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
 {
@@ -150,14 +244,10 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
 
     const Addr tag = block_number(paddr);
     const SetRef ref = set_ref(paddr);
-    const std::uint32_t way = find(ref, tag);
+    const std::uint32_t way = find(ref.base, tag);
     if (way != kNoWay) {
         const std::size_t idx = ref.base + way;
-        if (lru_ != nullptr) {
-            lru_->on_hit(ref.set, way);
-        } else {
-            repl_->on_hit(ref.set, way);
-        }
+        touch(ref, way, /*fill=*/false);
         AccessResult r;
         if (fill_done_[idx] > t && type != AccessType::kWriteback) {
             // In-flight fill: merge (counts as a miss, pays residual).
@@ -165,7 +255,7 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
             r.merged = true;
             if (demand) {
                 ++stats_.demand.misses;
-                mark_used(idx);
+                mark_used(ref, way);
             } else if (type == AccessType::kPageWalk) {
                 ++stats_.walk.misses;
             }
@@ -173,11 +263,11 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
             r.done = t;
             r.hit = true;
             if (demand) {
-                mark_used(idx);
+                mark_used(ref, way);
             }
         }
         if (type == AccessType::kStore || type == AccessType::kWriteback) {
-            flags_[idx] |= kFlagDirty;
+            ref.flags[way] |= kFlagDirty;
         }
         return r;
     }
@@ -202,12 +292,12 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
 
     // MSHR occupancy: when all entries are in flight the request
     // stalls until the oldest completes.
-    std::erase_if(inflight_, [t](Cycle c) { return c <= t; });
+    if (earliest_ <= t) {
+        drain_mshrs(t);
+    }
     if (inflight_.size() >= cfg_.mshr_entries) {
-        const Cycle oldest = *std::min_element(inflight_.begin(),
-                                               inflight_.end());
-        t = oldest;
-        std::erase_if(inflight_, [t](Cycle c) { return c <= t; });
+        t = earliest_;
+        drain_mshrs(t);
     }
 
     Cycle fill_done = t;
@@ -216,6 +306,7 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
                     cfg_.latency;
     }
     inflight_.push_back(fill_done);
+    earliest_ = std::min(earliest_, fill_done);
     SIM_AUDIT(inflight_.size() <= cfg_.mshr_entries,
               "MSHR occupancy exceeded its configured entries");
 
@@ -241,13 +332,9 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
         // A demand miss fills a demand block; mark used on arrival.
         f |= kFlagUsed;
     }
-    flags_[idx] = f;
+    ref.flags[victim_way] = f;
     fill_done_[idx] = fill_done;
-    if (lru_ != nullptr) {
-        lru_->on_fill(ref.set, victim_way);
-    } else {
-        repl_->on_fill(ref.set, victim_way);
-    }
+    touch(ref, victim_way, /*fill=*/true);
 
     AccessResult r;
     r.done = fill_done;
@@ -257,20 +344,38 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
 void
 Cache::save_state(SnapshotWriter &w) const
 {
-    // Byte format is unchanged from the array-of-structs layout: the
+    // Block records keep the array-of-structs byte format: the
     // embedded valid bit decomposes back into the (tag, valid) pair.
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-        w.put_u64(tags_[i] & ~kValidTagBit);
-        w.put_bool((tags_[i] & kValidTagBit) != 0);
-        w.put_bool((flags_[i] & kFlagDirty) != 0);
-        w.put_bool((flags_[i] & kFlagPrefetched) != 0);
-        w.put_bool((flags_[i] & kFlagPgc) != 0);
-        w.put_bool((flags_[i] & kFlagUsed) != 0);
-        w.put_u64(fill_done_[i]);
+    const std::uint32_t ways = cfg_.ways;
+    for (std::size_t base = 0; base < tags_.size(); base += ways) {
+        const std::uint8_t *flags = &meta_[2 * base];
+        for (std::uint32_t way = 0; way < ways; ++way) {
+            const Addr t = tags_[base + way];
+            const std::uint8_t f = flags[way];
+            w.put_u64(t & ~kValidTagBit);
+            w.put_bool((t & kValidTagBit) != 0);
+            w.put_bool((f & kFlagDirty) != 0);
+            w.put_bool((f & kFlagPrefetched) != 0);
+            w.put_bool((f & kFlagPgc) != 0);
+            w.put_bool((f & kFlagUsed) != 0);
+            w.put_u64(fill_done_[base + way]);
+        }
     }
     put_vec(w, inflight_);
     w.put_u64(next_port_free_);
-    repl_->save_state(w);
+    // Replacement state: one byte per block in (set, way) order (LRU
+    // ranks, SRRIP RRPVs), or the victim RNG for Random.
+    if (cfg_.replacement == ReplacementKind::kRandom) {
+        SnapshotAccess::save(w, rng_);
+    } else {
+        w.put_u64(tags_.size());
+        for (std::size_t base = 0; base < tags_.size(); base += ways) {
+            const std::uint8_t *repl = &meta_[2 * base] + ways;
+            for (std::uint32_t way = 0; way < ways; ++way) {
+                w.put_u8(repl[way]);
+            }
+        }
+    }
     put_stats(w, stats_.demand);
     put_stats(w, stats_.walk);
     w.put_u64(stats_.writebacks);
@@ -281,31 +386,63 @@ Cache::save_state(SnapshotWriter &w) const
 void
 Cache::restore_state(SnapshotReader &r)
 {
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-        const Addr tag = r.get_u64();
-        const bool valid = r.get_bool();
-        tags_[i] = valid ? (tag | kValidTagBit) : tag;
-        std::uint8_t f = 0;
-        if (r.get_bool()) {
-            f |= kFlagDirty;
+    const std::uint32_t ways = cfg_.ways;
+    for (std::size_t base = 0; base < tags_.size(); base += ways) {
+        std::uint8_t *flags = &meta_[2 * base];
+        for (std::uint32_t way = 0; way < ways; ++way) {
+            const Addr tag = r.get_u64();
+            const bool valid = r.get_bool();
+            tags_[base + way] = valid ? (tag | kValidTagBit) : tag;
+            std::uint8_t f = 0;
+            if (r.get_bool()) {
+                f |= kFlagDirty;
+            }
+            if (r.get_bool()) {
+                f |= kFlagPrefetched;
+            }
+            if (r.get_bool()) {
+                f |= kFlagPgc;
+            }
+            if (r.get_bool()) {
+                f |= kFlagUsed;
+            }
+            flags[way] = f;
+            fill_done_[base + way] = r.get_u64();
         }
-        if (r.get_bool()) {
-            f |= kFlagPrefetched;
-        }
-        if (r.get_bool()) {
-            f |= kFlagPgc;
-        }
-        if (r.get_bool()) {
-            f |= kFlagUsed;
-        }
-        flags_[i] = f;
-        fill_done_[i] = r.get_u64();
     }
     // The MSHR list length is runtime state (outstanding fills at
     // snapshot time), not configuration — accept the saved length.
     get_vec(r, inflight_, /*fixed_size=*/false);
+    earliest_ = kNoCycle;
+    for (const Cycle c : inflight_) {
+        earliest_ = std::min(earliest_, c);
+    }
     next_port_free_ = r.get_u64();
-    repl_->restore_state(r);
+    if (cfg_.replacement == ReplacementKind::kRandom) {
+        SnapshotAccess::restore(r, rng_);
+    } else {
+        if (r.get_u64() != tags_.size()) {
+            throw SnapshotError(SnapshotErrorKind::kMalformed,
+                                "replacement state length mismatch");
+        }
+        // A range check per byte keeps restore O(blocks); whether the
+        // LRU ranks of a set form a permutation is audit_cache's job.
+        const std::uint8_t rail =
+            cfg_.replacement == ReplacementKind::kLru
+                ? static_cast<std::uint8_t>(ways - 1)
+                : kMaxRrpv;
+        for (std::size_t base = 0; base < tags_.size(); base += ways) {
+            std::uint8_t *repl = &meta_[2 * base] + ways;
+            for (std::uint32_t way = 0; way < ways; ++way) {
+                const std::uint8_t v = r.get_u8();
+                if (v > rail) {
+                    throw SnapshotError(SnapshotErrorKind::kMalformed,
+                                        "replacement byte out of range");
+                }
+                repl[way] = v;
+            }
+        }
+    }
     get_stats(r, stats_.demand);
     get_stats(r, stats_.walk);
     stats_.writebacks = r.get_u64();

@@ -1,22 +1,22 @@
 /**
  * @file
- * Set-associative write-back cache with LRU replacement, MSHR-style
- * in-flight merging, port contention, and per-block prefetch
- * metadata. The L1D instance additionally carries the paper's PCB
- * (Page-Cross Bit) per block and reports page-cross prefetch
- * usefulness through a listener, which is what drives MOKA training.
+ * Set-associative write-back cache with LRU replacement (SRRIP and
+ * Random for ablations), MSHR-style in-flight merging, port
+ * contention, and per-block prefetch metadata. The L1D instance
+ * additionally carries the paper's PCB (Page-Cross Bit) per block and
+ * reports page-cross prefetch usefulness through a listener, which is
+ * what drives MOKA training.
  */
 #ifndef MOKASIM_CACHE_CACHE_H
 #define MOKASIM_CACHE_CACHE_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/memory_level.h"
-#include "cache/replacement.h"
 #include "common/hot_path.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -26,12 +26,22 @@ struct AuditAccess;
 class SnapshotReader;
 class SnapshotWriter;
 
+/**
+ * Replacement policy selector. The paper evaluates LRU everywhere
+ * (Table IV); SRRIP and Random serve bench/ablation_replacement.
+ */
+enum class ReplacementKind : std::uint8_t {
+    kLru,    //!< least-recently-used (paper's Table IV)
+    kSrrip,  //!< static re-reference interval prediction (2-bit)
+    kRandom, //!< pseudo-random victim
+};
+
 /** Geometry and timing of one cache level. */
 struct CacheConfig
 {
     std::string name = "cache";
     std::uint32_t sets = 64;      //!< power of two
-    std::uint32_t ways = 8;
+    std::uint32_t ways = 8;       //!< at most 256 (one-byte LRU ranks)
     Cycle latency = 4;            //!< lookup + fill latency
     std::uint32_t mshr_entries = 8;
     bool track_pgc = false;       //!< maintain PCB bits (L1D only)
@@ -128,40 +138,56 @@ class Cache final : public MemoryLevel
     // contiguous Addr array: the valid bit lives in bit 63 of the tag
     // word (tags are block numbers, < 2^58, so the top bit is free),
     // which turns the per-way "valid && tag ==" into a single
-    // compare against tag|kValidTagBit. Flags pack into a byte;
-    // fill cycles sit in a parallel array only the merge check reads.
+    // compare against tag|kValidTagBit. Per-way flags and replacement
+    // state share one metadata row per set (2 * ways bytes: the
+    // kFlag* bytes, then one replacement byte per way), so a miss
+    // reads and writes one short row for flags and victim choice.
+    // Fill cycles sit in a parallel array only the merge check reads.
     static constexpr Addr kValidTagBit = Addr{1} << 63;
     static constexpr std::uint8_t kFlagDirty = 1u << 0;
     static constexpr std::uint8_t kFlagPrefetched = 1u << 1;
     static constexpr std::uint8_t kFlagPgc = 1u << 2;  //!< paper's PCB
     static constexpr std::uint8_t kFlagUsed = 1u << 3; //!< >=1 demand use
     static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
+    //! SRRIP's 2-bit re-reference prediction rail (Jaleel et al.)
+    static constexpr std::uint8_t kMaxRrpv = 3;
+    static constexpr Cycle kNoCycle = ~Cycle{0};
 
-    /** One set resolved to its row base; computed once per access. */
+    /** One set resolved to its row bases; computed once per access. */
     struct SetRef
     {
-        std::uint32_t set = 0;
-        std::size_t base = 0;  //!< set * ways, index into the arrays
+        std::size_t base = 0;  //!< set * ways: index into tags_/fill_done_
+        std::uint8_t *flags = nullptr;  //!< the set's kFlag* bytes
+        std::uint8_t *repl = nullptr;   //!< the set's replacement bytes
     };
 
-    std::uint32_t set_index(PhysAddr paddr) const;
-    SetRef set_ref(PhysAddr paddr) const;
-    std::uint32_t find(const SetRef &ref, Addr tag) const;
+    std::size_t set_base(PhysAddr paddr) const;
+    SetRef set_ref(PhysAddr paddr);
+    std::uint32_t find(std::size_t base, Addr tag) const;
     std::uint32_t pick_victim(const SetRef &ref, Cycle now);
-    void mark_used(std::size_t idx);
+    void touch(const SetRef &ref, std::uint32_t way, bool fill);
+    void mark_used(const SetRef &ref, std::uint32_t way);
+    void drain_mshrs(Cycle t);
 
     CacheConfig cfg_;       // LINT_SNAPSHOT_OK: config
     MemoryLevel *lower_;    // LINT_SNAPSHOT_OK: collaborator, owned by machine
     // LINT_SNAPSHOT_OK: collaborator, re-wired by the machine builder
     CacheListener *listener_ = nullptr;
     std::vector<Addr> tags_;           //!< sets * ways; bit 63 = valid
-    std::vector<std::uint8_t> flags_;  //!< kFlag* bits, parallel to tags_
+    /**
+     * sets rows of 2 * ways bytes: kFlag* bits per way, then one
+     * replacement byte per way. LRU keeps a recency rank (0 = most
+     * recent, ways - 1 = victim; the ranks of a set are always a
+     * permutation of 0..ways-1), SRRIP its RRPV, Random nothing.
+     */
+    std::vector<std::uint8_t> meta_;
     std::vector<Cycle> fill_done_;     //!< data arrival, parallel to tags_
     std::vector<Cycle> inflight_;      //!< outstanding fill completions
+    //! min of inflight_ (kNoCycle when empty): the miss path scans the
+    //! MSHRs only once some entry can have completed
+    Cycle earliest_ = kNoCycle;  // LINT_SNAPSHOT_OK: derived from inflight_
     Cycle next_port_free_ = 0;
-    std::unique_ptr<ReplacementPolicy> repl_;
-    // Devirtualizes the three per-access policy calls (rule L12).
-    LruPolicy *lru_ = nullptr;  // LINT_SNAPSHOT_OK: alias of repl_
+    Rng rng_{1};  //!< kRandom victim draws
     CacheStats stats_;
 };
 

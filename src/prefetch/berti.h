@@ -44,12 +44,6 @@ class Berti : public Prefetcher
     void restore_state(SnapshotReader &r) override;
 
   private:
-    struct HistoryItem
-    {
-        Addr line = 0;
-        Cycle cycle = 0;
-    };
-
     struct DeltaCounter
     {
         std::int64_t delta = 0;
@@ -57,38 +51,71 @@ class Berti : public Prefetcher
         std::uint16_t timely = 0;
     };
 
-    /**
-     * Per-IP training state. The candidate deltas are kept as three
-     * parallel arrays (value / occurrences / timely) so the per-access
-     * match scan in train() touches one contiguous int64 array instead
-     * of striding over padded structs. tag/valid/lru live in the
-     * SoA arrays below (ip_tags_ etc.) for the same reason: lookup_ip
-     * scans every entry on every trained access.
-     */
+    /** Scalar per-IP state; the per-IP arrays live in arena_. */
     struct IpEntry
     {
-        std::vector<HistoryItem> history;  //!< ring buffer
-        unsigned history_head = 0;
-        std::vector<std::int64_t> delta_vals;
-        std::vector<std::uint16_t> delta_occ;
-        std::vector<std::uint16_t> delta_timely;
-        std::vector<std::int64_t> selected;
-        std::vector<std::uint16_t> selected_timely;  //!< metadata export
-        unsigned window_count = 0;
+        std::uint32_t history_head = 0;  //!< next history ring slot
+        std::uint32_t num_deltas = 0;    //!< live candidate deltas
+        std::uint32_t num_selected = 0;  //!< deltas issued per access
+        std::uint32_t window_count = 0;
     };
 
-    IpEntry &lookup_ip(Addr pc);
-    void train(IpEntry &e, Addr line, Cycle now);
-    void select_deltas(IpEntry &e);
+    /**
+     * Word offsets of one IP's arrays within its arena_ stride. Every
+     * word is a u64: history lines and cycles, delta values (two's
+     * complement), and the u16 occurrence/timely counters.
+     */
+    struct ArenaLayout
+    {
+        std::size_t hist_line = 0;   //!< history_per_ip ring lines
+        std::size_t hist_cycle = 0;  //!< history_per_ip ring cycles (0 = empty)
+        std::size_t delta = 0;       //!< deltas_per_ip candidate values
+        std::size_t occ = 0;         //!< deltas_per_ip occurrence counts
+        std::size_t timely = 0;      //!< deltas_per_ip timely counts
+        std::size_t sel = 0;         //!< max_degree selected deltas
+        std::size_t sel_timely = 0;  //!< max_degree selected timely counts
+        std::size_t stride = 0;      //!< words per IP
+    };
+
+    std::size_t lookup_ip(Addr pc);
+    void train(std::size_t ip, Addr line, Cycle now);
+    std::uint32_t claim_slot(std::size_t ip, std::int64_t delta);
+    void select_deltas(std::size_t ip);
+
+    /** First arena word of IP @p ip. */
+    std::uint64_t *
+    words(std::size_t ip)
+    {
+        return &arena_[ip * layout_.stride];
+    }
+
+    /** IP @p ip's delta index, addressable by delta in [-max, max]. */
+    std::uint8_t *
+    index_of(std::size_t ip)
+    {
+        return &delta_index_[ip * index_span_] + cfg_.max_delta;
+    }
 
     BertiConfig cfg_;  // LINT_SNAPSHOT_OK: config
+    ArenaLayout layout_;  // LINT_SNAPSHOT_OK: geometry derived from cfg_
     std::vector<IpEntry> ips_;
+    //! ip_entries * layout_.stride words, sized at construction
+    std::vector<std::uint64_t> arena_;
     //! parallel to ips_: hashed-PC tag per entry
     std::vector<Addr> ip_tags_;
     //! parallel to ips_: entry holds live training state
     std::vector<std::uint8_t> ip_valid_;
     //! parallel to ips_: LRU stamp per entry
     std::vector<std::uint64_t> ip_lru_;
+    //! 2 * max_delta + 1 index bytes per IP
+    // LINT_SNAPSHOT_OK: geometry derived from cfg_
+    std::size_t index_span_ = 0;
+    //! per IP, delta + max_delta -> candidate slot + 1 (0 = untracked);
+    //! turns train()'s history x deltas match into one lookup per item
+    // LINT_SNAPSHOT_OK: derived from the deltas, rebuilt by restore_state
+    std::vector<std::uint8_t> delta_index_;
+    //! entry hit last; lookup_ip checks it before scanning
+    std::size_t mru_ = 0;  // LINT_SNAPSHOT_OK: hint, validated on use
     //! select_deltas sort scratch, reserved once (rule L10)
     // LINT_SNAPSHOT_OK: scratch, overwritten before every use
     std::vector<DeltaCounter> sort_scratch_;

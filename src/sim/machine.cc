@@ -531,11 +531,17 @@ Machine::run(InstCount insts_per_core, RunTickHook *hook)
 {
     std::vector<InstCount> &target = run_target_;
     std::vector<std::uint8_t> &crossed = run_crossed_;
+    std::size_t remaining = cores_.size();
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         target[i] = cores_[i]->retired() + insts_per_core;
         crossed[i] = 0;
+        if (cores_[i]->retired() >= target[i]) {
+            // A zero budget is met before any step: run(0) steps nothing.
+            crossed[i] = 1;
+            at_budget_[i] = cores_[i]->metrics();
+            --remaining;
+        }
     }
-    std::size_t remaining = cores_.size();
     while (remaining > 0) {
         // Step the core whose clock is furthest behind so shared-level
         // contention interleaves in rough time order. Finished cores

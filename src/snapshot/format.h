@@ -39,8 +39,10 @@
 namespace moka {
 
 //! bump when the container layout or any component's section layout
-//! changes; readers reject other versions outright
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+//! changes; readers reject other versions outright. Version 2: LRU
+//! replacement state is one recency-rank byte per cache block (was a
+//! u64 timestamp per block plus the policy clock).
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 //! container magic, first 8 bytes of every snapshot
 inline constexpr char kSnapshotMagic[8] = {'M', 'O', 'K', 'A',

@@ -320,6 +320,47 @@ TEST(AuditCache, DetectsPcbOnNonPrefetchedBlock)
     EXPECT_FALSE(report.ok());
 }
 
+TEST(AuditCache, DetectsDuplicateLruRank)
+{
+    Cache cache(CacheConfig{"L2", 16, 4, 4, 8, false}, nullptr);
+    for (Addr b = 0; b < 6; ++b) {
+        cache.access(PhysAddr{(b * 16) << kBlockBits}, AccessType::kLoad,
+                     b * 10);
+    }
+
+    AuditReport clean;
+    audit::audit_cache(cache, clean);
+    EXPECT_TRUE(clean.ok()) << clean.to_string();
+
+    // Give way 1 of set 0 the rank way 0 holds: two ways now claim
+    // the same recency, and one rank is missing from the set.
+    AuditAccess::corrupt_cache_replacement_byte(
+        cache, 0, 1, AuditAccess::cache_replacement_byte(cache, 0, 0));
+    AuditReport report;
+    audit::audit_cache(cache, report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_NE(report.to_string().find("not a permutation"),
+              std::string::npos)
+        << report.to_string();
+}
+
+TEST(AuditCache, DetectsSrripRrpvAboveRail)
+{
+    CacheConfig cfg{"LLC", 16, 4, 4, 8, false};
+    cfg.replacement = ReplacementKind::kSrrip;
+    Cache cache(cfg, nullptr);
+    cache.access(PhysAddr{0x1000}, AccessType::kLoad, 0);
+
+    AuditReport clean;
+    audit::audit_cache(cache, clean);
+    EXPECT_TRUE(clean.ok()) << clean.to_string();
+
+    AuditAccess::corrupt_cache_replacement_byte(cache, 3, 2, 4);
+    AuditReport report;
+    audit::audit_cache(cache, report);
+    EXPECT_FALSE(report.ok());
+}
+
 // ---------------------------------------------------------------------------
 // The PCB <-> pUB cross-structure invariant
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "prefetch/berti.h"
+#include "snapshot/snapshot.h"
 
 namespace moka {
 namespace {
@@ -137,6 +138,101 @@ TEST(Berti, DeltaBound)
     const auto out = drive_stream(berti, 0x1, 0x100000, 1, 200, 100);
     for (const PrefetchRequest &r : out) {
         EXPECT_LE(std::abs(r.delta), 16);
+    }
+}
+
+/** One scripted access of the snapshot test below. */
+struct Access
+{
+    Addr pc;
+    Addr line;
+};
+
+/**
+ * PC 0x400 walks a repeating {+3, -1, +5, +2, -4, +7} step pattern:
+ * its 16-deep history yields far more than deltas_per_ip distinct
+ * deltas, so the weakest-candidate replacement runs every window,
+ * while the period-6 delta (+12) is timely often enough to be
+ * selected. 65 one-shot PCs then evict it from the 64-entry IP table
+ * before it returns alongside two strided PCs.
+ */
+std::vector<Access>
+delta_churn_script()
+{
+    const std::int64_t steps[] = {3, -1, 5, 2, -4, 7};
+    std::vector<Access> script;
+    std::int64_t line = 1 << 20;
+    for (int i = 0; i < 300; ++i) {
+        line += steps[i % 6];
+        script.push_back({0x400, static_cast<Addr>(line)});
+    }
+    for (Addr p = 0; p < 65; ++p) {
+        script.push_back({0x9000 + p * 4, (Addr{2} << 20) + p * 97});
+    }
+    for (int i = 0; i < 600; ++i) {
+        line += steps[i % 6];
+        script.push_back({0x400, static_cast<Addr>(line)});
+        script.push_back({0x404, (Addr{3} << 20) + Addr(i) * 2});
+        script.push_back({0x408, (Addr{4} << 20) + Addr(i) * 5});
+    }
+    return script;
+}
+
+void
+replay(Berti &berti, const std::vector<Access> &script, std::size_t begin,
+       std::size_t end, std::vector<PrefetchRequest> &out)
+{
+    for (std::size_t i = begin; i < end; ++i) {
+        PrefetchContext ctx;
+        ctx.pc = script[i].pc;
+        ctx.vaddr = VirtAddr{script[i].line << kBlockBits};
+        ctx.now = (i + 1) * 20;
+        berti.on_access(ctx, out);
+    }
+}
+
+TEST(Berti, RestoreMidChurnContinuesLikeStraightRun)
+{
+    const BertiConfig cfg = quick_config();
+    const std::vector<Access> script = delta_churn_script();
+    // Cut after the eviction and well into the return phase, where
+    // PC 0x400's delta table is full and its index must be rebuilt.
+    const std::size_t cut = 300 + 65 + 3 * 250;
+
+    Berti straight(cfg);
+    std::vector<PrefetchRequest> straight_out;
+    replay(straight, script, 0, cut, straight_out);
+    straight_out.clear();
+    replay(straight, script, cut, script.size(), straight_out);
+    ASSERT_FALSE(straight_out.empty());
+    bool pc400_prefetches = false;
+    for (const PrefetchRequest &r : straight_out) {
+        pc400_prefetches |= r.trigger_pc == 0x400;
+    }
+    EXPECT_TRUE(pc400_prefetches);
+
+    Berti first(cfg);
+    std::vector<PrefetchRequest> ignored;
+    replay(first, script, 0, cut, ignored);
+    SnapshotWriter w(0);
+    first.save_state(w);
+    const std::string bytes = w.finish();
+    Berti restored(cfg);
+    SnapshotReader r(bytes);
+    restored.restore_state(r);
+    r.finish();
+    std::vector<PrefetchRequest> restored_out;
+    replay(restored, script, cut, script.size(), restored_out);
+
+    ASSERT_EQ(restored_out.size(), straight_out.size());
+    for (std::size_t i = 0; i < straight_out.size(); ++i) {
+        SCOPED_TRACE("request " + std::to_string(i));
+        EXPECT_EQ(restored_out[i].vaddr, straight_out[i].vaddr);
+        EXPECT_EQ(restored_out[i].delta, straight_out[i].delta);
+        EXPECT_EQ(restored_out[i].trigger_pc, straight_out[i].trigger_pc);
+        EXPECT_EQ(restored_out[i].trigger_vaddr,
+                  straight_out[i].trigger_vaddr);
+        EXPECT_EQ(restored_out[i].meta, straight_out[i].meta);
     }
 }
 

@@ -3,16 +3,20 @@
  * Model-checking tests: drive the Cache and Tlb with random traffic
  * and compare hit/miss outcomes against simple golden reference
  * models (a map-of-sets LRU). Catches indexing/tagging/replacement
- * regressions that example-based tests miss.
+ * regressions that example-based tests miss, including replacement
+ * state that does not survive a snapshot round trip.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
+#include <memory>
 #include <map>
 #include <vector>
 
 #include "cache/cache.h"
 #include "common/rng.h"
+#include "snapshot/snapshot.h"
 #include "vmem/tlb.h"
 
 namespace moka {
@@ -94,6 +98,61 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Geometry{1, 1}, Geometry{1, 4}, Geometry{4, 1},
                       Geometry{16, 2}, Geometry{64, 8},
                       Geometry{128, 12}));
+
+/**
+ * The simulated machine's cache geometries (L1I, L1D, L2 and the
+ * single-core 2MB LLC) under random loads and stores, with a
+ * save -> restore into a fresh cache halfway: the restored cache must
+ * continue exactly as the golden model does.
+ */
+class CacheRestoreModelCheck : public ::testing::TestWithParam<Geometry>
+{
+};
+
+TEST_P(CacheRestoreModelCheck, MatchesGoldenLruAcrossRestore)
+{
+    const Geometry g = GetParam();
+    CacheConfig cfg;
+    cfg.sets = g.sets;
+    cfg.ways = g.ways;
+    cfg.latency = 1;
+    cfg.mshr_entries = 64;
+    auto cache = std::make_unique<Cache>(cfg, nullptr);
+    GoldenCache golden(g.sets, g.ways);
+
+    const std::uint64_t blocks = std::uint64_t(g.sets) * g.ways;
+    const std::uint64_t steps = std::max<std::uint64_t>(20000, 4 * blocks);
+    Rng rng(g.sets * 31 + g.ways);
+    Cycle now = 0;
+    for (std::uint64_t i = 0; i < steps; ++i) {
+        if (i == steps / 2) {
+            SnapshotWriter w(0);
+            w.begin_section("cache");
+            cache->save_state(w);
+            SnapshotReader r(w.finish());
+            auto fresh = std::make_unique<Cache>(cfg, nullptr);
+            r.begin_section("cache");
+            fresh->restore_state(r);
+            r.finish();
+            cache = std::move(fresh);
+        }
+        // Footprint 2x the cache: about half the accesses hit.
+        const Addr block = rng.below(2 * blocks);
+        const AccessType type =
+            rng.below(4) == 0 ? AccessType::kStore : AccessType::kLoad;
+        now += 10;  // fills complete before the next access
+        const AccessResult r =
+            cache->access(PhysAddr{block << kBlockBits}, type, now);
+        const bool golden_hit = golden.access(block);
+        ASSERT_EQ(r.hit, golden_hit)
+            << "divergence at step " << i << " block " << block;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperGeometries, CacheRestoreModelCheck,
+    ::testing::Values(Geometry{64, 12}, Geometry{64, 8},
+                      Geometry{1024, 8}, Geometry{2048, 16}));
 
 class TlbModelCheck : public ::testing::TestWithParam<Geometry>
 {

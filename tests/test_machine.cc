@@ -41,6 +41,30 @@ TEST(Machine, RunsRequestedInstructions)
     EXPECT_LT(m.ipc(), 6.0);  // cannot beat the core width
 }
 
+TEST(Machine, RunZeroStepsNothing)
+{
+    MachineConfig cfg = default_config(2);
+    cfg.l1d_prefetcher = L1dPrefetcherKind::kBerti;
+    cfg.scheme = scheme_dripper(L1dPrefetcherKind::kBerti);
+    std::vector<WorkloadPtr> w;
+    w.push_back(make_workload(pick(Family::kStream)));
+    w.push_back(make_workload(pick(Family::kCsr)));
+    Machine m(cfg, std::move(w));
+    m.run(0);  // on a fresh machine
+    EXPECT_EQ(m.steps(), 0u);
+    m.run(5'000);
+    const std::uint64_t steps = m.steps();
+    const InstCount retired0 = m.core(0).retired();
+    const InstCount retired1 = m.core(1).retired();
+    m.start_measurement();
+    m.run(0);
+    EXPECT_EQ(m.steps(), steps);
+    EXPECT_EQ(m.core(0).retired(), retired0);
+    EXPECT_EQ(m.core(1).retired(), retired1);
+    EXPECT_EQ(m.measured(0).instructions, 0u);
+    EXPECT_EQ(m.measured(1).instructions, 0u);
+}
+
 TEST(Machine, DeterministicAcrossRuns)
 {
     const MachineConfig cfg =

@@ -121,6 +121,26 @@ TEST(SnapshotFormat, RejectsWrongVersion)
     EXPECT_EQ(reject_kind(bytes), SnapshotErrorKind::kBadVersion);
 }
 
+/** @p bytes with its u32 format version field overwritten. */
+std::string
+with_version(std::string bytes, std::uint32_t version)
+{
+    for (int i = 0; i < 4; ++i) {
+        bytes[8 + i] = static_cast<char>((version >> (8 * i)) & 0xFF);
+    }
+    return bytes;
+}
+
+TEST(SnapshotFormat, RejectsVersionOne)
+{
+    // Version 1 stored 64-bit LRU timestamps where version 2 stores
+    // one recency rank per way; the layouts cannot be told apart by
+    // length alone, so the version field must reject it.
+    ASSERT_EQ(kSnapshotVersion, 2u);
+    EXPECT_EQ(reject_kind(with_version(tiny_snapshot(), 1)),
+              SnapshotErrorKind::kBadVersion);
+}
+
 TEST(SnapshotFormat, RejectsTruncation)
 {
     const std::string bytes = tiny_snapshot();
@@ -703,6 +723,61 @@ TEST(SnapshotRunner, WarmRunMatchesColdRunExactly)
         EXPECT_EQ(warm.pgc_issued, cold.pgc_issued);
         EXPECT_EQ(warm.branch_mispredicts, cold.branch_mispredicts);
     }
+}
+
+TEST(SnapshotRunner, VersionOneFileCountsInvalidAndRunsCold)
+{
+    const MachineConfig cfg = snap_config();
+    const WorkloadSpec spec = pick(Family::kStream);
+    RunConfig run;
+    run.warmup_insts = 10'000;
+    run.measure_insts = 20'000;
+    const WorkloadFactory factory = [&spec]() {
+        return make_workload(spec);
+    };
+    const RunMetrics cold =
+        run_single_workload(cfg, make_workload(spec), run, nullptr);
+
+    // Publish a snapshot, then downgrade the published file in place
+    // to what an older build would have left in the directory.
+    const std::string dir = temp_dir("v1");
+    {
+        SnapshotCache cache(dir);
+        (void)run_single_workload_snapshot(cfg, factory, run, nullptr,
+                                           cache, /*warmup_key=*/5);
+    }
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        files.push_back(entry.path());
+    }
+    ASSERT_EQ(files.size(), 1u);
+    std::string bytes;
+    {
+        std::ifstream is(files[0], std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>());
+    }
+    {
+        std::ofstream os(files[0], std::ios::binary | std::ios::trunc);
+        os << with_version(bytes, 1);
+    }
+
+    SnapshotCache cache(dir);
+    const RunMetrics warm = run_single_workload_snapshot(
+        cfg, factory, run, nullptr, cache, /*warmup_key=*/5);
+    EXPECT_EQ(cache.stats().invalid, 1u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(warm.instructions, cold.instructions);
+    EXPECT_EQ(warm.cycles, cold.cycles);
+    EXPECT_EQ(warm.l1d.misses, cold.l1d.misses);
+    EXPECT_EQ(warm.llc.misses, cold.llc.misses);
+    EXPECT_EQ(warm.pgc_issued, cold.pgc_issued);
+    // The stale file was replaced by a current-version publish.
+    std::ifstream is(files[0], std::ios::binary);
+    const std::string republished((std::istreambuf_iterator<char>(is)),
+                                  std::istreambuf_iterator<char>());
+    EXPECT_EQ(republished, bytes);
 }
 
 TEST(SnapshotRunner, DifferentSchemesGetDifferentWarmupKeys)
