@@ -11,8 +11,8 @@
  * PPF by 2.4%/1.4%/1.6% on Berti/BOP/IPCP.
  *
  * Runs the full (workload, scheme, prefetcher) matrix through the job
- * engine; accepts --jobs/--journal/--resume/--fail-fast and the
- * sharded-sweep flags --shard-dir/--shard-name/--lease-ttl/--merge.
+ * engine; accepts --jobs/--results-dir/--fail-fast (re-run with the
+ * same --results-dir to resume, or share it between processes).
  * Failed jobs are dropped from the aggregates and reported on stderr.
  */
 #include <cmath>

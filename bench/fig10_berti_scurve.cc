@@ -9,8 +9,8 @@
  * shows the largest suite gains; a short negative tail exists for
  * QMM workloads.
  *
- * Runs through the job engine (--jobs/--journal/--resume, plus the
- * sharded-sweep flags --shard-dir/--shard-name/--lease-ttl/--merge);
+ * Runs through the job engine (--jobs/--results-dir; re-run with the
+ * same --results-dir to resume, or share it between processes);
  * workloads whose jobs failed are dropped from the curves and
  * reported on stderr.
  */

@@ -10,8 +10,9 @@
  *
  * Default runs 24 mixes; --full runs the paper's 300. One engine job
  * per mix (--jobs N parallelizes across mixes); the isolation-IPC
- * cache is shared across workers. Failed mixes are dropped from the
- * distribution and reported on stderr.
+ * cache is shared across workers. --results-dir stores each finished
+ * mix, so re-running the same command resumes. Failed mixes are
+ * dropped from the distribution and reported on stderr.
  */
 #include <algorithm>
 #include <cstdio>
@@ -69,8 +70,10 @@ main(int argc, char **argv)
 
     const std::unique_ptr<TelemetrySession> telemetry =
         make_telemetry(args);
-    // run_engine so --shard-dir/--merge work here too: a 300-mix
-    // --full sweep is the natural candidate for a multi-host farm.
+    // run_engine so --results-dir works here too: a 300-mix --full
+    // sweep is the natural candidate for several processes sharing one
+    // directory. Its sweep key includes --seed and --mixes, which
+    // choose the mixes the specs below only number.
     const EngineReport report = run_engine(
         jobs, args,
         [&](const JobSpec &spec, JobContext &ctx) {

@@ -14,7 +14,7 @@
 
 namespace moka {
 
-//! FNV-1a 64-bit offset basis / prime (shared by the journal record
+//! FNV-1a 64-bit offset basis / prime (shared by the result record
 //! checksums and the snapshot section checksums).
 inline constexpr std::uint64_t kFnv1aOffset = 1469598103934665603ull;
 inline constexpr std::uint64_t kFnv1aPrime = 1099511628211ull;

@@ -29,8 +29,7 @@
  * by a cadence, bounded by a tiny structure, intrinsic to the model).
  *
  * See "Hot-path contract" in docs/ARCHITECTURE.md for how the
- * contract, the MOKASIM_ALLOC_TRACE interposer and the optreport
- * worklist (tools/optreport_tool.py) fit together.
+ * contract and the MOKASIM_ALLOC_TRACE interposer fit together.
  */
 #ifndef MOKASIM_COMMON_HOT_PATH_H
 #define MOKASIM_COMMON_HOT_PATH_H

@@ -10,7 +10,7 @@
 #include "common/hashing.h"
 #include "common/stats.h"
 #include "filter/policies.h"
-#include "sim/jobs/shard.h"
+#include "sim/jobs/results.h"
 #include "snapshot/cache.h"
 #include "telemetry/telemetry.h"
 #include "trace/trace_io.h"
@@ -101,23 +101,13 @@ parse_bench_args(int argc, char **argv)
             args.jobs = next_u64();
         } else if (a == "--fail-fast") {
             args.fail_fast = true;
-        } else if (a == "--journal") {
-            args.journal = require_value(a, i, argc, argv);
-        } else if (a == "--resume") {
-            args.resume = require_value(a, i, argc, argv);
+        } else if (a == "--results-dir") {
+            args.results_dir = require_value(a, i, argc, argv);
         } else if (a == "--inject-faults") {
             args.fault_rate =
                 require_double(a, require_value(a, i, argc, argv));
         } else if (a == "--fault-seed") {
             args.fault_seed = next_u64();
-        } else if (a == "--shard-dir") {
-            args.shard_dir = require_value(a, i, argc, argv);
-        } else if (a == "--shard-name") {
-            args.shard_name = require_value(a, i, argc, argv);
-        } else if (a == "--lease-ttl") {
-            args.lease_ttl_ms = next_u64();
-        } else if (a == "--merge") {
-            args.merge = true;
         } else if (a == "--inject-kill") {
             args.kill_rate =
                 require_double(a, require_value(a, i, argc, argv));
@@ -143,8 +133,6 @@ engine_config(const BenchArgs &args)
     EngineConfig cfg;
     cfg.workers = std::max<std::size_t>(1, args.jobs);
     cfg.fail_fast = args.fail_fast;
-    cfg.journal_path = args.journal;
-    cfg.resume_path = args.resume;
     if (args.fault_rate > 0.0) {
         cfg.faults.enabled = true;
         cfg.faults.seed = args.fault_seed;
@@ -345,34 +333,32 @@ EngineReport
 run_engine(const std::vector<JobSpec> &jobs, const BenchArgs &args,
            const JobFn &fn, TelemetrySession *telemetry)
 {
-    if (args.merge) {
-        if (args.shard_dir.empty()) {
-            std::fprintf(stderr,  // LINT_LOG_OK: usage error
-                         "usage: --merge requires --shard-dir\n");
-            std::exit(2);
-        }
-        const MergeReport merge =
-            merge_shard_dir(args.shard_dir, jobs.size());
-        std::fputs(merge.summary().c_str(), stderr);  // LINT_LOG_OK: report
-        if (!merge.ok()) {
-            std::exit(2);
-        }
-        return report_from_merge(merge, jobs);
-    }
     EngineConfig cfg = engine_config(args);
     cfg.telemetry = telemetry;
     // Warmup-snapshot reuse: one cache shared by every worker (and,
-    // through the claim/publish protocol, by concurrent shards using
-    // the same directory). It must outlive the engine run below.
+    // through write-temp+rename, by every process using the same
+    // directory). It must outlive the engine run below.
     std::unique_ptr<SnapshotCache> snapshots;
     if (!args.snapshot_dir.empty() && !args.no_snapshot_reuse) {
         snapshots = std::make_unique<SnapshotCache>(args.snapshot_dir);
         cfg.snapshot = snapshots.get();
     }
-    auto report_snapshots = [&snapshots]() {
-        if (snapshots == nullptr) {
-            return;
-        }
+    std::unique_ptr<ResultDir> results;
+    if (!args.results_dir.empty()) {
+        // The specs name every cell, but not what chose them: the
+        // roster sample and the mix draw. Two sweeps that differ only
+        // there must not share records.
+        std::uint64_t key = hash_combine(args.full ? 1 : 0, args.workloads);
+        key = hash_combine(hash_combine(key, args.mixes), args.seed);
+        ProcessFaultPlan kills;
+        kills.enabled = args.kill_rate > 0.0;
+        kills.seed = args.fault_seed;
+        kills.kill_rate = args.kill_rate;
+        results = std::make_unique<ResultDir>(args.results_dir, key, kills);
+        cfg.results = results.get();
+    }
+    EngineReport report = JobEngine(std::move(cfg)).run(jobs, fn);
+    if (snapshots != nullptr) {
         const SnapshotCache::Stats s = snapshots->stats();
         std::fprintf(stderr,  // LINT_LOG_OK: report
                      "snapshot cache: %llu hits, %llu misses, "
@@ -381,28 +367,7 @@ run_engine(const std::vector<JobSpec> &jobs, const BenchArgs &args,
                      static_cast<unsigned long long>(s.misses),
                      static_cast<unsigned long long>(s.saves),
                      static_cast<unsigned long long>(s.invalid));
-    };
-    if (!args.shard_dir.empty()) {
-        ShardConfig shard;
-        shard.dir = args.shard_dir;
-        shard.name = args.shard_name;
-        shard.lease_ttl_ms = std::max<std::uint64_t>(1, args.lease_ttl_ms);
-        if (args.kill_rate > 0.0) {
-            shard.proc_faults.enabled = true;
-            shard.proc_faults.seed = args.fault_seed;
-            shard.proc_faults.kill_rate = args.kill_rate;
-        }
-        // The shard layer owns journaling inside shard_dir; the
-        // --journal/--resume flags stay meaningful only in plain mode.
-        shard.engine = std::move(cfg);
-        ShardReport report = ShardEngine(std::move(shard)).run(jobs, fn);
-        std::fputs(report.summary().c_str(), stderr);  // LINT_LOG_OK: report
-        report_snapshots();
-        return std::move(report.engine);
     }
-    JobEngine engine(std::move(cfg));
-    EngineReport report = engine.run(jobs, fn);
-    report_snapshots();
     return report;
 }
 

@@ -3,10 +3,9 @@
  * Shared helpers for the figure/table benchmark harnesses: derived
  * metrics (speedup, coverage), per-suite aggregation, table printing,
  * common CLI flags (--full, --workloads, --insts, --warmup, plus the
- * engine flags --jobs/--resume/--journal/--fail-fast/--inject-faults
- * and the shard flags --shard-dir/--shard-name/--lease-ttl/--merge/
- * --inject-kill), and the engine-backed matrix runner every ported
- * harness and sweep_tool share.
+ * engine flags --jobs/--results-dir/--fail-fast/--inject-faults/
+ * --inject-kill/--fault-seed), and the engine-backed matrix runner
+ * every ported harness and sweep_tool share.
  */
 #ifndef MOKASIM_SIM_EXPERIMENT_H
 #define MOKASIM_SIM_EXPERIMENT_H
@@ -44,19 +43,14 @@ struct BenchArgs
     // Job-engine knobs (see sim/jobs/engine.h).
     std::size_t jobs = 1;         //!< worker threads
     bool fail_fast = false;       //!< abort the sweep on first failure
-    std::string journal;          //!< journal finished jobs here
-    std::string resume;           //!< resume from this journal
     double fault_rate = 0.0;      //!< injected fault rate (tests/CI)
     std::uint64_t fault_seed = 1;
 
-    // Sharded-execution knobs (see sim/jobs/shard.h). A non-empty
-    // shard_dir switches the sweep into shard mode: claim jobs from
-    // the shared directory instead of running the whole matrix.
-    std::string shard_dir;        //!< shared lease/journal directory
-    std::string shard_name;       //!< this shard's name ("" = pid-based)
-    std::uint64_t lease_ttl_ms = 10000;  //!< heartbeat-miss budget
-    bool merge = false;           //!< merge shard_dir, don't run jobs
-    double kill_rate = 0.0;       //!< seeded self-SIGKILL rate (chaos)
+    // Result directory (see sim/jobs/results.h): one per harness
+    // command, shared by any number of processes; re-running the
+    // command over it resumes or collects.
+    std::string results_dir;      //!< "" = keep nothing between runs
+    double kill_rate = 0.0;       //!< seeded self-SIGKILL rate (drills)
 
     // Telemetry knobs (see telemetry/telemetry.h).
     std::string telemetry_dir;    //!< per-run epoch CSV/JSONL directory
@@ -138,25 +132,17 @@ make_matrix(const std::vector<WorkloadSpec> &roster,
  * and prefetcher with the engine's watchdog/fault hook, surfaces
  * audit findings, and returns the labelled row. aux = {ipc,
  * l1d_misses, l1d_accesses} so harnesses can aggregate speedups and
- * coverage even for resumed jobs (which have no RunMetrics).
+ * coverage even for reused jobs (which have no RunMetrics).
  */
 JobOutput run_sim_job(const JobSpec &spec, JobContext &ctx);
 
 /**
- * Run @p jobs through whatever execution mode the common flags chose:
- *
- *  - merge mode (--merge --shard-dir D): don't run anything; merge
- *    the shard journals in D (validating checksums and completeness)
- *    and rehydrate the report a serial run would have produced. Any
- *    merge problem is a usage-style error: summary to stderr, exit 2.
- *  - shard mode (--shard-dir D): claim jobs from D via leases, run
- *    them through the engine, journal into D (sim/jobs/shard.h); the
- *    shard summary goes to stderr and the returned report covers the
- *    whole matrix (peer-finished jobs carry status only, no CSV).
- *  - plain mode: one local JobEngine over the full matrix.
- *
- * @p telemetry (may be null) is handed down for trace spans and
- * per-run epoch sampling.
+ * Run @p jobs through one JobEngine configured by the common flags.
+ * With --results-dir D, stored jobs in D are loaded instead of run and
+ * finished jobs are stored there, under a sweep key hashed from the
+ * flags that choose the roster and mixes (--full, --workloads,
+ * --mixes, --seed); see sim/jobs/results.h. @p telemetry (may be
+ * null) is handed down for trace spans and per-run epoch sampling.
  */
 EngineReport run_engine(const std::vector<JobSpec> &jobs,
                         const BenchArgs &args, const JobFn &fn,

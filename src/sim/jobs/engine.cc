@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <memory>
+#include <numeric>
 #include <sstream>
 #include <thread>
 
 #include "common/check.h"
-#include "common/hashing.h"
-#include "common/rng.h"
-#include "sim/jobs/journal.h"
+#include "sim/jobs/results.h"
 #include "telemetry/telemetry.h"
 
 namespace moka {
@@ -112,25 +110,13 @@ Watchdog::on_tick(std::uint64_t steps)
 }
 
 std::uint64_t
-backoff_delay_ms(const EngineConfig &cfg, std::size_t id, int attempt)
+backoff_delay_ms(const EngineConfig &cfg, int attempt)
 {
-    // Capped exponential: base * 2^(attempt-1), clamped.
     const std::uint64_t shift =
         attempt <= 63 ? static_cast<std::uint64_t>(attempt - 1) : 63;
-    const std::uint64_t delay_ms =
-        std::min(cfg.backoff_cap_ms,
-                 cfg.backoff_base_ms == 0 ? 0
-                                          : cfg.backoff_base_ms << shift);
-    if (!cfg.backoff_jitter || delay_ms == 0) {
-        return delay_ms;
-    }
-    // Decorrelate across shards: a seeded-uniform draw in
-    // [delay/2, delay] keyed on (salt, job, attempt) — pure timing,
-    // no effect on any result value.
-    Rng rng(hash_combine(hash_combine(cfg.jitter_salt,
-                                      static_cast<std::uint64_t>(id)),
-                         static_cast<std::uint64_t>(attempt)));
-    return delay_ms / 2 + rng.below(delay_ms - delay_ms / 2 + 1);
+    return std::min(cfg.backoff_cap_ms,
+                    cfg.backoff_base_ms == 0 ? 0
+                                             : cfg.backoff_base_ms << shift);
 }
 
 JobEngine::JobEngine(EngineConfig cfg) : cfg_(std::move(cfg))
@@ -142,7 +128,7 @@ JobEngine::JobEngine(EngineConfig cfg) : cfg_(std::move(cfg))
 JobResult
 JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
                        const FaultInjector &injector,
-                       std::uint32_t worker, RunTickHook *extra) const
+                       std::uint32_t worker) const
 {
     Tracer *tracer = engine_tracer(cfg_);
     JobResult res;
@@ -161,13 +147,9 @@ JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
             injector.decide(spec.id, attempt);
         FaultHook fault(decision, injector.plan().stall_ms);
         Watchdog watchdog(spec.watchdog_steps, cfg_.watchdog_wall_ms);
-        // Extra (shard heartbeat) first, then fault, then watchdog: a
-        // lease refresh must happen even on the tick a fault fires,
-        // and a stall is observed by the deadline check behind it.
+        // Fault before watchdog: a stall is observed by the deadline
+        // check behind it.
         TickHookChain chain;
-        if (extra != nullptr) {
-            chain.add(extra);
-        }
         chain.add(&fault);
         chain.add(&watchdog);
         JobContext ctx;
@@ -196,16 +178,12 @@ JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
             res.error_message = "non-standard exception";
         }
         res.status = JobStatus::kFailed;
-        if (res.error == JobErrorCode::kLeaseLost) {
-            break;  // the shard lost this job to a peer; never retry
-        }
         if (!is_transient(res.error) || attempt == cfg_.max_attempts) {
             break;
         }
-        // Jittered capped-exponential backoff before retrying a
-        // transient failure (see backoff_delay_ms).
-        const std::uint64_t delay_ms =
-            backoff_delay_ms(cfg_, spec.id, attempt);
+        // Capped-exponential backoff before retrying a transient
+        // failure.
+        const std::uint64_t delay_ms = backoff_delay_ms(cfg_, attempt);
         if (delay_ms > 0) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(delay_ms));
@@ -226,48 +204,6 @@ JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
         report.results[i].label = job_label(jobs[i]);
     }
 
-    // Resume: pre-fill every journaled terminal result; those jobs
-    // are never re-run and their CSV rows are replayed verbatim.
-    if (!cfg_.resume_path.empty()) {
-        for (const JournalRecord &rec : Journal::load(cfg_.resume_path)) {
-            if (rec.job_id >= jobs.size()) {
-                continue;  // journal from a different matrix
-            }
-            JobResult &res = report.results[rec.job_id];
-            res.status = rec.status;
-            res.attempts = rec.attempts;
-            res.error = rec.error;
-            res.error_message = rec.error_message;
-            res.csv = rec.csv;
-            res.output.aux = rec.aux;
-            res.from_journal = true;
-        }
-    }
-
-    // Fresh sweeps overwrite a stale journal instead of extending it.
-    std::unique_ptr<Journal> journal;
-    if (!cfg_.journal_path.empty()) {
-        if (cfg_.resume_path != cfg_.journal_path) {
-            std::remove(cfg_.journal_path.c_str());
-        }
-        journal = std::make_unique<Journal>(cfg_.journal_path);
-        // Re-journal replayed results so the new journal is itself a
-        // complete resume point, not just the post-crash remainder.
-        for (const JobResult &res : report.results) {
-            if (res.from_journal && !journal->contains(res.id)) {
-                JournalRecord rec;
-                rec.job_id = res.id;
-                rec.status = res.status;
-                rec.attempts = res.attempts;
-                rec.error = res.error;
-                rec.error_message = res.error_message;
-                rec.csv = res.csv;
-                rec.aux = res.output.aux;
-                journal->append(rec);
-            }
-        }
-    }
-
     // Dispatch order: descending estimated cost, id-ascending within
     // equal cost. Long jobs (multicore mixes) start first so a skewed
     // sweep doesn't serialize on a straggler claimed last; with the
@@ -275,9 +211,7 @@ JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
     // are still emitted in ascending id, so the CSV stays
     // byte-identical to a serial sweep.
     std::vector<std::size_t> order(jobs.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        order[i] = i;
-    }
+    std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(),
                      [&jobs](std::size_t a, std::size_t b) {
                          return jobs[a].estimated_cost >
@@ -296,94 +230,82 @@ JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
         }
     }
 
+    // With a result directory every job gets two chances. The first
+    // pass loads stored jobs, runs the ones it can claim and defers
+    // those a peer claimed; the second pass runs whatever of those is
+    // still missing, whether its claimant crashed or is just slow.
+    ResultDir *const results = cfg_.results;
     const FaultInjector injector(cfg_.faults);
-    std::atomic<std::size_t> next{0};
     std::atomic<bool> abort_rest{false};
-    auto worker = [&](std::uint32_t wid) {
-        while (true) {
-            const std::size_t slot =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (slot >= order.size()) {
-                return;
-            }
-            const std::size_t i = order[slot];
-            JobResult &res = report.results[i];
-            if (res.from_journal) {
-                continue;
-            }
-            if (abort_rest.load(std::memory_order_relaxed)) {
-                res.status = JobStatus::kSkipped;
-                res.error_message = "skipped by --fail-fast";
-                continue;
-            }
-            std::uint64_t begin_us = 0;
-            if (tracer != nullptr) {
-                begin_us = tracer->now_us();
-                std::ostringstream os;
-                os << "{\"job\":" << i << "}";
-                tracer->instant(kEnginePid, wid, "schedule", begin_us,
-                                os.str());
-                tracer->register_process(
-                    kJobPidBase + static_cast<std::uint32_t>(i),
-                    "job " + std::to_string(i) + ": " + res.label);
-            }
-            res = execute_one(jobs[i], fn, injector, wid);
-            if (tracer != nullptr) {
-                std::ostringstream os;
-                os << "{\"job\":" << i << ",\"status\":\""
-                   << to_string(res.status)
-                   << "\",\"attempts\":" << res.attempts << "}";
-                tracer->complete(kEnginePid, wid,
-                                 "job " + std::to_string(i), begin_us,
-                                 tracer->now_us() - begin_us, os.str());
-            }
-            if (res.status == JobStatus::kFailed && cfg_.fail_fast) {
-                abort_rest.store(true, std::memory_order_relaxed);
-            }
-            if (journal != nullptr) {
-                JournalRecord rec;
-                rec.job_id = res.id;
-                rec.status = res.status;
-                rec.attempts = res.attempts;
-                rec.error = res.error;
-                rec.error_message = res.error_message;
-                rec.csv = res.csv;
-                rec.aux = res.output.aux;
-                try {
-                    journal->append(rec);
-                } catch (const JobError &e) {
-                    // A failed append (real or injected ENOSPC) must
-                    // not kill the sweep: the result is already in
-                    // report.results, only resumability of this one
-                    // job degrades, and the journal self-repairs its
-                    // torn tail on the next append.
-                    std::fprintf(stderr, /* LINT_LOG_OK */
-                                 "engine: journal append failed for "
-                                 "job %zu: %s\n",
-                                 res.id, e.what());
+    //! set for job i only by the one worker that takes it in pass 1,
+    //! read after that pass's workers joined
+    std::vector<std::uint8_t> deferred(jobs.size(), 0);
+    const auto drain = [&](const std::vector<std::size_t> &queue,
+                           bool first_pass) {
+        std::atomic<std::size_t> next{0};
+        const auto worker = [&](std::uint32_t wid) {
+            for (std::size_t slot = 0;
+                 (slot = next.fetch_add(1, std::memory_order_relaxed)) <
+                 queue.size();) {
+                const std::size_t i = queue[slot];
+                JobResult &res = report.results[i];
+                if (results != nullptr && results->load(jobs[i], res)) {
+                    continue;
                 }
+                if (abort_rest.load(std::memory_order_relaxed)) {
+                    res.status = JobStatus::kSkipped;
+                    res.error_message = "skipped by --fail-fast";
+                    continue;
+                }
+                if (results != nullptr &&
+                    !results->claim(jobs[i], first_pass)) {
+                    deferred[i] = 1;
+                    continue;
+                }
+                std::uint64_t begin_us = 0;
                 if (tracer != nullptr) {
-                    tracer->instant(kEnginePid, wid, "journal",
-                                    tracer->now_us(),
-                                    "{\"job\":" + std::to_string(i) +
-                                        "}");
+                    begin_us = tracer->now_us();
+                    tracer->instant(kEnginePid, wid, "schedule", begin_us,
+                                    "{\"job\":" + std::to_string(i) + "}");
+                    tracer->register_process(
+                        kJobPidBase + static_cast<std::uint32_t>(i),
+                        "job " + std::to_string(i) + ": " + res.label);
+                }
+                res = execute_one(jobs[i], fn, injector, wid);
+                if (tracer != nullptr) {
+                    std::ostringstream os;
+                    os << "{\"job\":" << i << ",\"status\":\""
+                       << to_string(res.status)
+                       << "\",\"attempts\":" << res.attempts << "}";
+                    tracer->complete(kEnginePid, wid,
+                                     "job " + std::to_string(i), begin_us,
+                                     tracer->now_us() - begin_us, os.str());
+                }
+                if (res.status == JobStatus::kFailed && cfg_.fail_fast) {
+                    abort_rest.store(true, std::memory_order_relaxed);
+                }
+                if (results != nullptr) {
+                    results->settle(jobs[i], res);
                 }
             }
+        };
+        const std::size_t n = std::min(workers, queue.size());
+        if (n <= 1) {
+            worker(0);  // keep serial sweeps genuinely single-threaded
+            return;
         }
-    };
-
-    if (workers <= 1) {
-        worker(0);  // keep serial sweeps genuinely single-threaded
-    } else {
         std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t i = 0; i < workers; ++i) {
-            pool.emplace_back(worker, static_cast<std::uint32_t>(i));
+        pool.reserve(n);
+        for (std::size_t w = 0; w < n; ++w) {
+            pool.emplace_back(worker, static_cast<std::uint32_t>(w));
         }
         for (std::thread &t : pool) {
             t.join();
         }
-    }
+    };
+    drain(order, true);
+    std::erase_if(order, [&](std::size_t i) { return deferred[i] == 0; });
+    drain(order, false);
 
     for (const JobResult &res : report.results) {
         switch (res.status) {
@@ -391,8 +313,8 @@ JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
           case JobStatus::kFailed: ++report.failed; break;
           case JobStatus::kSkipped: ++report.skipped; break;
         }
-        if (res.from_journal) {
-            ++report.resumed;
+        if (res.reused) {
+            ++report.reused;
         }
     }
     return report;
@@ -405,8 +327,8 @@ EngineReport::summary() const
     os << "jobs: " << results.size() << " total, " << completed
        << " completed, " << failed << " failed, " << skipped
        << " skipped";
-    if (resumed > 0) {
-        os << " (" << resumed << " from journal)";
+    if (reused > 0) {
+        os << " (" << reused << " reused from the result directory)";
     }
     os << '\n';
     for (const JobResult &res : results) {

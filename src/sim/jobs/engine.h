@@ -12,9 +12,8 @@
  *  - retry: transient failures (timeout, OOM) retry with capped
  *    exponential backoff before the engine degrades gracefully to a
  *    partial-results report;
- *  - resume: finished jobs are journaled through atomic write-rename;
- *    a resumed sweep replays journaled results and only runs the
- *    remainder, producing a byte-identical CSV;
+ *  - reuse: with a result directory (results.h) a re-run, or a peer
+ *    process sharing it, loads stored jobs and runs only the rest;
  *  - determinism: results are emitted in ascending job id, and every
  *    per-job decision (including injected faults) is a pure function
  *    of the job id, so an N-worker run is byte-identical to a serial
@@ -36,6 +35,7 @@ namespace moka {
 
 class TelemetrySession;
 class SnapshotCache;
+class ResultDir;
 
 /** Engine-wide policy knobs. */
 struct EngineConfig
@@ -44,37 +44,20 @@ struct EngineConfig
     int max_attempts = 3;            //!< attempts for transient failures
     std::uint64_t backoff_base_ms = 10;  //!< doubles per retry ...
     std::uint64_t backoff_cap_ms = 500;  //!< ... up to this cap
-    /**
-     * Decorrelate retry backoff: sleep a seeded-uniform duration in
-     * [delay/2, delay] instead of exactly the exponential delay, so N
-     * shard processes retrying the same transiently-failing trace
-     * spread their filesystem hits instead of thundering in lockstep.
-     * The draw is a pure function of (jitter_salt, job id, attempt) —
-     * timing only, never results — and jitter_salt should differ per
-     * shard (the shard layer salts it with the shard identity).
-     */
-    bool backoff_jitter = true;
-    std::uint64_t jitter_salt = 0;
     bool fail_fast = false;          //!< first failure skips the rest
     //! wall-clock watchdog deadline per attempt; 0 disables it (the
     //! per-job step budget in JobSpec::watchdog_steps still applies)
     std::uint64_t watchdog_wall_ms = 0;
-    std::string journal_path;        //!< "" = don't journal
-    std::string resume_path;         //!< journal to resume from ("" = fresh)
     FaultPlan faults;                //!< injected-fault plan (tests/CI)
-    /**
-     * Telemetry session (non-owning, may be null): the engine emits
-     * schedule/run/retry/journal trace spans per worker thread onto
-     * its tracer and threads the session into every JobContext so job
-     * bodies can arm per-run epoch sampling.
-     */
+    //! telemetry session (non-owning, may be null): engine trace spans
+    //! per worker, and handed to job bodies for epoch sampling
     TelemetrySession *telemetry = nullptr;
-    /**
-     * Warmup-snapshot cache (non-owning, may be null): threaded into
-     * every JobContext so job bodies can resolve their warmup phase
-     * through snapshot reuse instead of re-simulating it.
-     */
+    //! warmup-snapshot cache (non-owning, may be null), handed to job
+    //! bodies so they fork from a stored warmup
     SnapshotCache *snapshot = nullptr;
+    //! result directory (non-owning, may be null): stored jobs load
+    //! instead of running, finished ones are stored (results.h)
+    ResultDir *results = nullptr;
 };
 
 /**
@@ -141,7 +124,7 @@ struct EngineReport
     std::size_t completed = 0;
     std::size_t failed = 0;
     std::size_t skipped = 0;
-    std::size_t resumed = 0;  //!< completed/failed satisfied by --resume
+    std::size_t reused = 0;  //!< completed jobs loaded from the result dir
 
     bool all_completed() const { return failed == 0 && skipped == 0; }
 
@@ -153,14 +136,10 @@ struct EngineReport
 };
 
 /**
- * Backoff before retry @p attempt (1-based) of job @p id: capped
- * exponential (base * 2^(attempt-1), clamped to the cap), then — when
- * cfg.backoff_jitter — decorrelated into [delay/2, delay] by a draw
- * seeded with (cfg.jitter_salt, id, attempt). Exposed for tests and
- * for the shard layer's own retry loops.
+ * Backoff before retry @p attempt (1-based): capped exponential,
+ * base * 2^(attempt-1) clamped to the cap. Exposed for tests.
  */
-std::uint64_t backoff_delay_ms(const EngineConfig &cfg, std::size_t id,
-                               int attempt);
+std::uint64_t backoff_delay_ms(const EngineConfig &cfg, int attempt);
 
 /** The engine. Construct once per sweep; run() drains the whole matrix. */
 class JobEngine
@@ -175,22 +154,15 @@ class JobEngine
      */
     EngineReport run(const std::vector<JobSpec> &jobs, const JobFn &fn);
 
+  private:
     /**
-     * Execute one spec through the full per-attempt machinery
-     * (isolation, classification, watchdog, fault injection, retry
-     * with jittered backoff) without touching any journal. @p extra,
-     * when non-null, is prepended to the per-attempt tick-hook chain —
-     * the shard layer threads its lease heartbeat through here so a
-     * lease refresh rides the same cadence as the watchdog.
+     * Execute one spec through the per-attempt machinery: isolation,
+     * classification, watchdog, fault injection, retry with backoff.
      */
     JobResult execute_one(const JobSpec &spec, const JobFn &fn,
                           const FaultInjector &injector,
-                          std::uint32_t worker,
-                          RunTickHook *extra = nullptr) const;
+                          std::uint32_t worker) const;
 
-    const EngineConfig &config() const { return cfg_; }
-
-  private:
     EngineConfig cfg_;
 };
 

@@ -9,19 +9,8 @@
 
 namespace moka {
 
-const char *
-to_string(ShardFaultPoint point)
-{
-    switch (point) {
-      case ShardFaultPoint::kClaim: return "claim";
-      case ShardFaultPoint::kRun: return "run";
-      case ShardFaultPoint::kCommit: break;
-    }
-    return "commit";
-}
-
 bool
-ProcessFaultInjector::should_kill(ShardFaultPoint point, std::size_t job)
+ProcessFaultInjector::should_kill(KillPoint point, std::size_t job)
 {
     if (!plan_.enabled || plan_.kill_rate <= 0.0) {
         return false;
@@ -36,24 +25,13 @@ ProcessFaultInjector::should_kill(ShardFaultPoint point, std::size_t job)
 }
 
 void
-ProcessFaultInjector::maybe_kill(ShardFaultPoint point, std::size_t job)
+ProcessFaultInjector::maybe_kill(KillPoint point, std::size_t job)
 {
     if (should_kill(point, job)) {
-        // The honest crash: SIGKILL cannot be caught, so no journal
-        // flush, no lease release — exactly what a dead peer leaves.
+        // The honest crash: SIGKILL cannot be caught, so no cleanup
+        // of claim or temp files, exactly what a dead peer leaves.
         std::raise(SIGKILL);
     }
-}
-
-bool
-ProcessFaultInjector::should_fail_write(std::uint64_t nth) const
-{
-    if (!plan_.enabled || plan_.write_fail_rate <= 0.0) {
-        return false;
-    }
-    Rng rng(hash_combine(hash_combine(plan_.seed, nth),
-                         0x57726974ull /* "Writ" */));
-    return rng.chance(plan_.write_fail_rate);
 }
 
 FaultInjector::Decision

@@ -1,24 +1,23 @@
 /**
  * @file
- * Seeded fault injection for the job engine. A FaultPlan drives two
- * kinds of damage, both fully deterministic in (seed, job, attempt):
+ * Seeded fault injection for the job engine, fully deterministic in
+ * (seed, job, attempt):
  *
  *  - machine faults: throw a classified error at the Nth machine tick
- *    or stall the worker mid-run until the watchdog cancels it —
+ *    or stall the worker mid-run until the watchdog cancels it,
  *    delivered through the engine's RunTickHook chain;
  *  - trace faults: byte-level damage to trace files (bit-flipped
  *    magic, truncated header/records, flipped body bytes) exercising
  *    the classified trace_io error paths;
- *  - process faults (ProcessFaultPlan): whole-process damage for the
- *    sharded execution layer (sim/jobs/shard.h) — seeded self-SIGKILL
- *    at the claim/run/commit boundaries of a shard's job loop, and
- *    journal write failures (simulated ENOSPC/short write) delivered
- *    through the injectable write seam in journal.cc.
+ *  - process faults (ProcessFaultPlan): seeded self-SIGKILL at the
+ *    result directory's two crash boundaries (sim/jobs/results.h):
+ *    before a job body runs, and between a record's temp write and
+ *    its rename.
  *
  * Every recovery path of the engine (isolation, retry, watchdog,
- * partial-results reporting, resume) and of the shard layer (lease
- * expiry, steal, merge) is exercised in tests and CI by running real
- * sweeps under a FaultPlan / ProcessFaultPlan.
+ * partial-results reporting, re-running over a result directory) is
+ * exercised in tests and CI by running real sweeps under a FaultPlan
+ * or ProcessFaultPlan.
  */
 #ifndef MOKASIM_SIM_JOBS_FAULTS_H
 #define MOKASIM_SIM_JOBS_FAULTS_H
@@ -70,37 +69,25 @@ class FaultInjector
 };
 
 /**
- * Where in a shard's job loop a process fault can fire: right after a
- * lease is acquired, right before the job body runs, or right before
- * the finished result is committed (journal append + done marker).
+ * Where a process fault can fire: right before a taken job's body
+ * runs, or between a finished record's temp write and its rename.
  */
-enum class ShardFaultPoint : std::uint8_t { kClaim, kRun, kCommit };
+enum class KillPoint : std::uint8_t { kRun, kCommit };
 
-/** Stable trace/report name of @p point ("claim", "run", "commit"). */
-const char *to_string(ShardFaultPoint point);
-
-/** Process-level fault configuration for sharded sweeps. */
+/** Process-level fault configuration (--inject-kill/--fault-seed). */
 struct ProcessFaultPlan
 {
     bool enabled = false;
     std::uint64_t seed = 1;
-    //! P(self-SIGKILL) per boundary crossing — evaluated at every
-    //! claim/run/commit boundary the shard passes, so any nonzero
-    //! rate kills the process eventually (chaos drills rely on this)
+    //! P(self-SIGKILL) per boundary crossing; any nonzero rate kills
+    //! the process eventually (the chaos drill relies on this)
     double kill_rate = 0.0;
-    //! P(journal write fails as ENOSPC/short write) per write
-    double write_fail_rate = 0.0;
 };
 
 /**
- * Deterministic process-fault oracle. Each boundary crossing draws
- * from a stream keyed on (seed, crossing index, point, job), so the
- * decision sequence replays exactly for a given interleaving, and
- * unit tests can pin individual decisions without racing.
- *
- * maybe_kill delivers SIGKILL to the calling process — the honest
- * crash: no destructors, no atexit, leases left behind mid-TTL —
- * which is precisely what the lease-recovery machinery must survive.
+ * Deterministic process-fault oracle: each boundary crossing draws
+ * from a stream keyed on (seed, crossing index, point, job). Its kill
+ * is a real SIGKILL: no destructors, no atexit, claims left behind.
  */
 class ProcessFaultInjector
 {
@@ -111,15 +98,10 @@ class ProcessFaultInjector
     }
 
     /** Would crossing (@p point, @p job) kill? Advances the stream. */
-    bool should_kill(ShardFaultPoint point, std::size_t job);
+    bool should_kill(KillPoint point, std::size_t job);
 
     /** raise(SIGKILL) when should_kill says so; otherwise a no-op. */
-    void maybe_kill(ShardFaultPoint point, std::size_t job);
-
-    /** Does the @p nth journal write fail (ENOSPC)? */
-    bool should_fail_write(std::uint64_t nth) const;
-
-    const ProcessFaultPlan &plan() const { return plan_; }
+    void maybe_kill(KillPoint point, std::size_t job);
 
   private:
     ProcessFaultPlan plan_;

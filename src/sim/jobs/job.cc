@@ -1,7 +1,5 @@
 #include "sim/jobs/job.h"
 
-#include <cstring>
-
 namespace moka {
 
 const char *
@@ -13,26 +11,10 @@ to_string(JobErrorCode code)
       case JobErrorCode::kAuditFailure: return "audit_failure";
       case JobErrorCode::kTimeout: return "timeout";
       case JobErrorCode::kOom: return "oom";
-      case JobErrorCode::kLeaseLost: return "lease_lost";
       case JobErrorCode::kSnapshotInvalid: return "snapshot_invalid";
       case JobErrorCode::kUnknown: break;
     }
     return "unknown";
-}
-
-JobErrorCode
-job_error_code_from(const std::string &name)
-{
-    for (const JobErrorCode code :
-         {JobErrorCode::kTraceCorrupt, JobErrorCode::kConfigInvalid,
-          JobErrorCode::kAuditFailure, JobErrorCode::kTimeout,
-          JobErrorCode::kOom, JobErrorCode::kLeaseLost,
-          JobErrorCode::kSnapshotInvalid}) {
-        if (name == to_string(code)) {
-            return code;
-        }
-    }
-    return JobErrorCode::kUnknown;
 }
 
 bool
@@ -41,8 +23,6 @@ is_transient(JobErrorCode code)
     // Timeouts are stragglers/stalls and OOM is memory pressure from
     // neighbouring jobs: both may succeed on a quieter retry. Corrupt
     // input, bad configuration and audit findings are deterministic.
-    // A lost lease is permanent *for this shard*: the peer that stole
-    // the job owns it now, so retrying locally would double-execute.
     // A rejected snapshot is handled inline (cold-warmup fallback), so
     // a job that still fails with it would fail again on retry.
     return code == JobErrorCode::kTimeout || code == JobErrorCode::kOom;

@@ -3,8 +3,8 @@
  * Job model for the fault-tolerant experiment engine: one job is one
  * cell of the (workload, scheme, prefetcher) matrix, executed in
  * isolation by the engine (src/sim/jobs/engine.h). Failures are
- * classified into a stable taxonomy (JobErrorCode) that the journal,
- * the failure report, and the retry policy all key on.
+ * classified into a stable taxonomy (JobErrorCode) that the failure
+ * report and the retry policy key on.
  */
 #ifndef MOKASIM_SIM_JOBS_JOB_H
 #define MOKASIM_SIM_JOBS_JOB_H
@@ -21,8 +21,8 @@
 namespace moka {
 
 /**
- * Why a job failed. The taxonomy is stable: codes are journaled by
- * name and drive the retry policy, so renaming one is a format break.
+ * Why a job failed. The taxonomy is stable: codes are reported by
+ * name and drive the retry policy.
  */
 enum class JobErrorCode : std::uint8_t {
     kTraceCorrupt,   //!< workload/trace failed to load or parse
@@ -30,16 +30,12 @@ enum class JobErrorCode : std::uint8_t {
     kAuditFailure,   //!< invariant auditor flagged the finished run
     kTimeout,        //!< watchdog cancelled a hung or stalled run
     kOom,            //!< allocation failure while building/running
-    kLeaseLost,      //!< sharded run lost its job lease to a peer
     kSnapshotInvalid,  //!< warmup snapshot rejected (corrupt/mismatched)
     kUnknown,        //!< unclassified exception escaping the job body
 };
 
-/** Stable journal/report name of @p code (e.g. "trace_corrupt"). */
+/** Stable report name of @p code (e.g. "trace_corrupt"). */
 const char *to_string(JobErrorCode code);
-
-/** Inverse of to_string; kUnknown for unrecognized names. */
-JobErrorCode job_error_code_from(const std::string &name);
 
 /**
  * True when @p code marks a transient failure worth retrying with
@@ -71,19 +67,22 @@ enum class JobStatus : std::uint8_t {
     kSkipped,    //!< never ran (--fail-fast after an earlier failure)
 };
 
-/** Stable journal name of @p status. */
+/** Stable report name of @p status. */
 const char *to_string(JobStatus status);
 
 /**
  * One cell of the experiment matrix. `id` is the dense job index and
  * the only ordering the engine honours: results, CSV rows and the
  * failure report are always emitted in ascending id so an N-worker
- * run is byte-identical to a serial one.
+ * run is byte-identical to a serial one. Every field except `id` and
+ * `estimated_cost` goes into the name of the job's stored result
+ * (results.h), so a job body must be a pure function of them and of
+ * the sweep key.
  */
 struct JobSpec
 {
     std::size_t id = 0;
-    WorkloadSpec workload;       //!< roster entry (ignored with trace_path)
+    WorkloadSpec workload{};     //!< roster entry (ignored with trace_path)
     std::string trace_path;      //!< non-empty: replay this trace file
     std::string scheme;          //!< scheme name, parsed by the job body
     std::string prefetcher;      //!< prefetcher name, parsed by the body
@@ -92,20 +91,15 @@ struct JobSpec
     //! cooperative watchdog: cancel after this many machine steps
     //! (0 disables the step budget for this job)
     std::uint64_t watchdog_steps = 0;
-    /**
-     * Relative cost estimate (any monotone unit, e.g. total machine
-     * steps). The engine dispatches pending jobs in descending cost so
-     * a skewed sweep doesn't serialize on a long job claimed last;
-     * result order stays ascending id regardless. Jobs with equal
-     * cost (including the default 0) run in id order.
-     */
+    //! relative cost (any monotone unit): jobs start in descending
+    //! cost, equal costs in id order, so a long job is not left last
     double estimated_cost = 0.0;
 };
 
 /**
  * What a completed job hands back: a canonical labelled result row
  * plus harness-specific scalars (e.g. fig19's weighted IPCs) that
- * ride through the journal untouched.
+ * ride through the result directory untouched.
  */
 struct JobOutput
 {
@@ -122,15 +116,12 @@ struct JobResult
     int attempts = 0;
     JobErrorCode error = JobErrorCode::kUnknown;  //!< valid when failed
     std::string error_message;
-    /**
-     * Final CSV row of a completed job. Journaled verbatim and reused
-     * on resume, which is what makes a resumed sweep's CSV
-     * byte-identical to an uninterrupted one. Empty for failed jobs.
-     */
+    //! final CSV row of a completed job (empty when failed); stored
+    //! verbatim, so a re-run sweep's CSV is byte-identical
     std::string csv;
     JobOutput output;            //!< row valid only for fresh runs;
-                                 //!< aux survives resume
-    bool from_journal = false;   //!< satisfied by --resume, not re-run
+                                 //!< aux survives reuse
+    bool reused = false;         //!< loaded from the result directory
 };
 
 }  // namespace moka

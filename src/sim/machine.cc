@@ -826,7 +826,6 @@ CoreComplex::save_state(SnapshotWriter &w) const
     w.put_u64(epoch_pgc_useless_);
     w.put_u64(next_interval_);
     w.put_u64(next_epoch_);
-    w.put_u64(next_audit_);
     put_stats(w, window_start_.l1d);
     put_stats(w, window_start_.llc);
     put_stats(w, window_start_.stlb);
@@ -869,7 +868,11 @@ CoreComplex::restore_state(SnapshotReader &r)
     epoch_pgc_useless_ = r.get_u64();
     next_interval_ = r.get_u64();
     next_epoch_ = r.get_u64();
-    next_audit_ = r.get_u64();
+    // The audit cadence is build configuration, not architectural
+    // state: only audit-enabled builds advance it, so it stays out of
+    // the snapshot and is derived from the retired count instead.
+    const InstCount every = cfg_.audit_interval_insts;
+    next_audit_ = every == 0 ? 0 : (core_.retired() / every + 1) * every;
     get_stats(r, window_start_.l1d);
     get_stats(r, window_start_.llc);
     get_stats(r, window_start_.stlb);

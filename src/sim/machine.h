@@ -240,7 +240,9 @@ class CoreComplex : public CacheListener
     // Interval/epoch state.
     InstCount next_interval_ = 0;
     InstCount next_epoch_ = 0;
-    InstCount next_audit_ = 0;  //!< audit-enabled builds only
+    // Audit cadence, advanced by audit-enabled builds only.
+    // LINT_SNAPSHOT_OK: build configuration, derived on restore
+    InstCount next_audit_ = 0;
     struct Window
     {
         AccessStats l1d, llc, stlb, l1i;

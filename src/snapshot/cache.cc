@@ -1,26 +1,17 @@
 #include "snapshot/cache.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <thread>
 
 #include "common/check.h"
+#include "common/publish.h"
 #include "snapshot/format.h"
 
 namespace moka {
 namespace {
 
 namespace fs = std::filesystem;
-
-/** Bounded wait for a concurrent shard's publish before duplicating. */
-constexpr int kClaimPollMs = 100;
-constexpr int kClaimPollRounds = 300;  // 30s, far above any warmup
 
 std::string
 hex_key(std::uint64_t key)
@@ -33,30 +24,13 @@ hex_key(std::uint64_t key)
     return os.str();
 }
 
-/** Whole-file read; false when absent/unreadable. */
-bool
-read_file(const std::string &path, std::string &out)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        return false;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (!is.good() && !is.eof()) {
-        return false;
-    }
-    out = buf.str();
-    return true;
-}
-
 }  // namespace
 
 SnapshotCache::SnapshotCache(std::string dir) : dir_(std::move(dir))
 {
     SIM_REQUIRE(!dir_.empty(), "snapshot cache needs a directory");
-    // Best effort: a failure here surfaces as cold warmups (claim
-    // files and publishes fail individually), never as a crash.
+    // Best effort: a failure here surfaces as cold warmups (every
+    // publish fails individually), never as a crash.
     std::error_code ec;
     fs::create_directories(dir_, ec);
 }
@@ -112,59 +86,16 @@ SnapshotCache::load_or_produce(std::uint64_t key, const Producer &produce,
         return found;
     }
 
-    // Lease-style claim so concurrent shards warming the same key
-    // don't all do the work: the claimant produces and publishes,
-    // everyone else polls for the published file (bounded), then
-    // falls back to a local produce — a duplicate warmup is benign.
-    const std::string claim = path_for(key) + ".claim";
-    const int fd = ::open(claim.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0) {
-        for (int round = 0; round < kClaimPollRounds; ++round) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(kClaimPollMs));
-            if (SnapshotBlob found = try_load(key)) {
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                outcome.hit = true;
-                return found;
-            }
-            std::error_code ec;
-            if (!fs::exists(claim, ec)) {
-                break;  // claimant gone without publishing: produce
-            }
-        }
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::make_shared<const std::string>(produce());
-    }
-    ::close(fd);
-
+    // A miss in several processes at once makes each of them warm up
+    // and publish: a benign duplicate, since every copy is identical
+    // and readers only ever see complete files.
     misses_.fetch_add(1, std::memory_order_relaxed);
-    try {
-        auto blob = std::make_shared<const std::string>(produce());
-        // Write-temp + rename: readers only ever see complete files.
-        const std::string tmp =
-            path_for(key) + ".tmp." + std::to_string(::getpid());
-        {
-            std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-            os.write(blob->data(),
-                     static_cast<std::streamsize>(blob->size()));
-            if (!os.good()) {
-                std::remove(tmp.c_str());
-                std::remove(claim.c_str());
-                return blob;  // reuse in-process even if unpublished
-            }
-        }
-        if (std::rename(tmp.c_str(), path_for(key).c_str()) == 0) {
-            saves_.fetch_add(1, std::memory_order_relaxed);
-            outcome.saved = true;
-        } else {
-            std::remove(tmp.c_str());
-        }
-        std::remove(claim.c_str());
-        return blob;
-    } catch (...) {  // LINT_CATCH_OK: claim cleanup only; rethrown
-        std::remove(claim.c_str());
-        throw;
+    auto blob = std::make_shared<const std::string>(produce());
+    if (publish_file(path_for(key), *blob)) {
+        saves_.fetch_add(1, std::memory_order_relaxed);
+        outcome.saved = true;
     }
+    return blob;  // reused in-process even if unpublished
 }
 
 SnapshotBlob

@@ -3,10 +3,9 @@
  * Warmup-snapshot cache: content-addressed snapshot files shared by
  * every job that warms up the same (workload, machine config,
  * warmup_insts) triple. In-process callers share one production via a
- * memoized future; across processes (sharded sweeps) the publish is
- * write-temp+rename with a lease-style claim file, so concurrent
- * shards either reuse the published snapshot or, after a bounded
- * wait, produce their own copy (a benign duplicate warmup).
+ * memoized future. Across processes the publish is write-temp+rename
+ * and nothing else: processes that miss the same key at once each
+ * warm up and publish an identical copy (a benign duplicate warmup).
  */
 #ifndef MOKASIM_SNAPSHOT_CACHE_H
 #define MOKASIM_SNAPSHOT_CACHE_H

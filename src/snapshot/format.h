@@ -41,8 +41,10 @@ namespace moka {
 //! bump when the container layout or any component's section layout
 //! changes; readers reject other versions outright. Version 2: LRU
 //! replacement state is one recency-rank byte per cache block (was a
-//! u64 timestamp per block plus the policy clock).
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+//! u64 timestamp per block plus the policy clock). Version 3: the
+//! per-core audit cadence is no longer stored, so audit-enabled and
+//! default builds write the same bytes.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 //! container magic, first 8 bytes of every snapshot
 inline constexpr char kSnapshotMagic[8] = {'M', 'O', 'K', 'A',

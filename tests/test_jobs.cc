@@ -1,24 +1,26 @@
 /**
  * @file
  * Tests for the fault-tolerant job engine: failure isolation and
- * classification, retry with backoff, watchdog cancellation,
- * journal/resume equivalence, fail-fast, and the determinism
- * guarantee that any worker count produces byte-identical output.
+ * classification, retry with backoff, watchdog cancellation, the
+ * result record format, resume over a result directory, fail-fast,
+ * and the determinism guarantee that any worker count produces
+ * byte-identical output.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "sim/experiment.h"
 #include "sim/jobs/engine.h"
 #include "sim/jobs/faults.h"
-#include "sim/jobs/journal.h"
+#include "sim/jobs/results.h"
 #include "trace/suites.h"
 
 namespace moka {
@@ -27,8 +29,7 @@ namespace {
 std::string
 temp_path(const char *tag)
 {
-    return std::string(::testing::TempDir()) + "moka_jobs_" + tag +
-           ".jsonl";
+    return std::string(::testing::TempDir()) + "moka_jobs_" + tag;
 }
 
 /** N trivial jobs with dense ids. */
@@ -162,74 +163,28 @@ TEST(JobErrors, TransiencyTaxonomy)
     EXPECT_FALSE(is_transient(JobErrorCode::kConfigInvalid));
     EXPECT_FALSE(is_transient(JobErrorCode::kAuditFailure));
     EXPECT_FALSE(is_transient(JobErrorCode::kUnknown));
-    // A lost lease must not be retried locally: the peer that stole
-    // the job owns it now (see shard.h).
-    EXPECT_FALSE(is_transient(JobErrorCode::kLeaseLost));
-    // Names round-trip through the journal format.
+    // Report names are distinct, so a summary line identifies its code.
+    std::set<std::string> names;
     for (const JobErrorCode code :
          {JobErrorCode::kTraceCorrupt, JobErrorCode::kConfigInvalid,
           JobErrorCode::kAuditFailure, JobErrorCode::kTimeout,
-          JobErrorCode::kOom, JobErrorCode::kLeaseLost,
+          JobErrorCode::kOom, JobErrorCode::kSnapshotInvalid,
           JobErrorCode::kUnknown}) {
-        EXPECT_EQ(job_error_code_from(to_string(code)), code);
+        EXPECT_TRUE(names.insert(to_string(code)).second) << to_string(code);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Retry backoff jitter
-// ---------------------------------------------------------------------------
-
-TEST(Backoff, JitterStaysInUpperHalfAndIsDeterministic)
+TEST(Backoff, CappedExponential)
 {
     EngineConfig cfg;
     cfg.backoff_base_ms = 100;
     cfg.backoff_cap_ms = 1000;
-    for (std::size_t id = 0; id < 8; ++id) {
-        for (int attempt = 1; attempt <= 6; ++attempt) {
-            const std::uint64_t shift =
-                static_cast<std::uint64_t>(attempt - 1);
-            const std::uint64_t full =
-                std::min<std::uint64_t>(1000, 100u << shift);
-            const std::uint64_t d = backoff_delay_ms(cfg, id, attempt);
-            EXPECT_GE(d, full / 2) << id << "/" << attempt;
-            EXPECT_LE(d, full) << id << "/" << attempt;
-            // Same (salt, id, attempt) always draws the same delay.
-            EXPECT_EQ(d, backoff_delay_ms(cfg, id, attempt));
-        }
-    }
-}
-
-TEST(Backoff, DisabledJitterKeepsCappedExponential)
-{
-    EngineConfig cfg;
-    cfg.backoff_base_ms = 100;
-    cfg.backoff_cap_ms = 1000;
-    cfg.backoff_jitter = false;
     const std::uint64_t expected[] = {100, 200, 400, 800, 1000, 1000};
     for (int attempt = 1; attempt <= 6; ++attempt) {
-        EXPECT_EQ(backoff_delay_ms(cfg, 7, attempt),
-                  expected[attempt - 1]);
+        EXPECT_EQ(backoff_delay_ms(cfg, attempt), expected[attempt - 1]);
     }
-}
-
-TEST(Backoff, SaltDecorrelatesShards)
-{
-    // Two shards retrying the same job on the same attempt must not
-    // sleep in lockstep: different salts draw different delays for at
-    // least some (id, attempt) pairs.
-    EngineConfig a;
-    a.backoff_base_ms = 64;
-    a.backoff_cap_ms = 4096;
-    EngineConfig b = a;
-    b.jitter_salt = 0x9e3779b97f4a7c15ull;
-    bool differs = false;
-    for (std::size_t id = 0; id < 8 && !differs; ++id) {
-        for (int attempt = 1; attempt <= 6 && !differs; ++attempt) {
-            differs = backoff_delay_ms(a, id, attempt) !=
-                      backoff_delay_ms(b, id, attempt);
-        }
-    }
-    EXPECT_TRUE(differs);
+    cfg.backoff_base_ms = 0;
+    EXPECT_EQ(backoff_delay_ms(cfg, 3), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,23 +331,21 @@ TEST(FaultInjector, DecisionsAreDeterministic)
 }
 
 // ---------------------------------------------------------------------------
-// Journal + resume
+// Result records + resume
 // ---------------------------------------------------------------------------
 
 TEST(Journal, RecordRoundTripsThroughJsonl)
 {
-    JournalRecord rec;
+    ResultRecord rec;
     rec.job_id = 42;
-    rec.status = JobStatus::kCompleted;
     rec.attempts = 2;
     rec.csv = "w1,\"suite\",s,p,1,2,0.5\nsecond\tline\\with\\escapes";
     rec.aux = {1.0 / 3.0, -2.5e-17, 123456789.123456789};
 
-    JournalRecord back;
+    ResultRecord back;
     std::string error;
     ASSERT_TRUE(from_jsonl(to_jsonl(rec), back, &error)) << error;
     EXPECT_EQ(back.job_id, rec.job_id);
-    EXPECT_EQ(back.status, rec.status);
     EXPECT_EQ(back.attempts, rec.attempts);
     EXPECT_EQ(back.csv, rec.csv);
     ASSERT_EQ(back.aux.size(), rec.aux.size());
@@ -400,243 +353,103 @@ TEST(Journal, RecordRoundTripsThroughJsonl)
         EXPECT_EQ(back.aux[i], rec.aux[i]);  // %.17g: exact round-trip
     }
 
-    rec.status = JobStatus::kFailed;
-    rec.error = JobErrorCode::kTimeout;
-    rec.error_message = "watchdog: \"deadline\" exceeded\n";
+    rec.aux.clear();
     ASSERT_TRUE(from_jsonl(to_jsonl(rec), back, &error)) << error;
-    EXPECT_EQ(back.status, JobStatus::kFailed);
-    EXPECT_EQ(back.error, JobErrorCode::kTimeout);
-    EXPECT_EQ(back.error_message, rec.error_message);
+    EXPECT_TRUE(back.aux.empty());
 }
 
 TEST(Journal, MalformedTrailingLineIsDropped)
 {
-    const std::string path = temp_path("torn");
-    {
-        std::ofstream os(path);
-        JournalRecord rec;
-        rec.job_id = 0;
-        rec.status = JobStatus::kCompleted;
-        rec.attempts = 1;
-        rec.csv = "row0";
-        os << to_jsonl(rec) << "\n";
-        os << "{\"job\":1,\"status\":\"compl";  // torn mid-write
-    }
-    std::size_t skipped = 0;
-    const auto records = Journal::load(path, &skipped);
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].job_id, 0u);
-    EXPECT_EQ(skipped, 1u);
-    std::remove(path.c_str());
+    // A record file cut short (disk fault, copy torn mid-way) fails to
+    // parse; loading drops the file so the job is recomputed.
+    const std::string dir = temp_path("torn");
+    std::filesystem::remove_all(dir);
+    const auto jobs = trivial_jobs(1);
+    ResultDir results(dir, 1);
+    ResultRecord rec;
+    rec.csv = "row0";
+    const std::string line = to_jsonl(rec);
+    EXPECT_FALSE(from_jsonl(line.substr(0, line.size() / 2), rec, nullptr));
+    std::ofstream(results.record_path(jobs[0]))
+        << line.substr(0, line.size() / 2);
+    JobResult res;
+    EXPECT_FALSE(results.load(jobs[0], res));
+    EXPECT_FALSE(std::filesystem::exists(results.record_path(jobs[0])));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(JobEngine, ResumeReproducesUninterruptedOutput)
 {
-    const std::string ref_journal = temp_path("ref");
-    const std::string cut_journal = temp_path("cut");
-    const std::string new_journal = temp_path("new");
+    const std::string dir = temp_path("resume");
+    std::filesystem::remove_all(dir);
     const auto jobs = trivial_jobs(8);
-
-    EngineConfig cfg;
-    cfg.journal_path = ref_journal;
     const std::string reference =
-        all_csv(JobEngine(cfg).run(jobs, echo_body));
+        all_csv(JobEngine(EngineConfig()).run(jobs, echo_body));
 
-    // Simulate a crash: keep only the first 3 journal lines.
-    {
-        std::ifstream is(ref_journal);
-        std::ofstream os(cut_journal);
-        std::string line;
-        for (int i = 0; i < 3 && std::getline(is, line); ++i) {
-            os << line << '\n';
-        }
+    // Simulate a crash after 3 jobs: only their records exist.
+    ResultDir results(dir, 1);
+    EngineConfig cfg;
+    cfg.results = &results;
+    JobEngine(cfg).run(jobs, echo_body);
+    for (std::size_t i = 3; i < jobs.size(); ++i) {
+        std::filesystem::remove(results.record_path(jobs[i]));
     }
 
     int fresh_runs = 0;
-    EngineConfig rcfg;
-    rcfg.resume_path = cut_journal;
-    rcfg.journal_path = new_journal;
-    const auto resumed = JobEngine(rcfg).run(
-        jobs, [&](const JobSpec &spec, JobContext &ctx) {
+    const auto resumed =
+        JobEngine(cfg).run(jobs, [&](const JobSpec &spec, JobContext &ctx) {
             ++fresh_runs;
             return echo_body(spec, ctx);
         });
     EXPECT_EQ(all_csv(resumed), reference);
-    EXPECT_EQ(fresh_runs, 5);  // 3 of 8 replayed from the journal
-    EXPECT_EQ(resumed.resumed, 3u);
+    EXPECT_EQ(fresh_runs, 5);  // 3 of 8 reused from the directory
+    EXPECT_EQ(resumed.reused, 3u);
     EXPECT_EQ(resumed.completed, 8u);
     for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_TRUE(resumed.results[i].from_journal);
+        EXPECT_TRUE(resumed.results[i].reused);
     }
-    // aux survives the journal round trip for resumed jobs.
+    // aux survives the record round trip for reused jobs.
     EXPECT_EQ(resumed.results[0].output.aux.size(), 1u);
     EXPECT_EQ(resumed.results[0].output.aux[0], 0.5);
 
-    // The resumed run's journal is itself a complete resume point.
-    EngineConfig r2cfg;
-    r2cfg.resume_path = new_journal;
-    const auto second = JobEngine(r2cfg).run(
+    // The directory is now complete: nothing runs again.
+    const auto second = JobEngine(cfg).run(
         jobs, [](const JobSpec &, JobContext &) -> JobOutput {
             throw JobError(JobErrorCode::kUnknown,
                            "nothing should re-run");
         });
     EXPECT_EQ(all_csv(second), reference);
-    EXPECT_EQ(second.resumed, 8u);
-
-    std::remove(ref_journal.c_str());
-    std::remove(cut_journal.c_str());
-    std::remove(new_journal.c_str());
+    EXPECT_EQ(second.reused, 8u);
+    std::filesystem::remove_all(dir);
 }
-
-TEST(Journal, AppendStreamSurvivesReopen)
-{
-    const std::string path = temp_path("reopen");
-    std::remove(path.c_str());
-    {
-        Journal journal(path);
-        for (std::size_t id = 0; id < 3; ++id) {
-            JournalRecord rec;
-            rec.job_id = id;
-            rec.status = JobStatus::kCompleted;
-            rec.attempts = 1;
-            rec.csv = "row" + std::to_string(id);
-            journal.append(rec);
-        }
-        EXPECT_EQ(journal.compactions(), 0u);
-        EXPECT_EQ(journal.disk_bytes(), journal.live_bytes());
-    }
-    Journal journal(path);
-    EXPECT_EQ(journal.recovered().size(), 3u);
-    JournalRecord rec;
-    rec.job_id = 3;
-    rec.status = JobStatus::kCompleted;
-    rec.attempts = 1;
-    rec.csv = "row3";
-    journal.append(rec);
-    EXPECT_EQ(Journal::load(path).size(), 4u);
-    std::remove(path.c_str());
-}
-
-TEST(Journal, TornTailIsRewrittenCleanBeforeAppends)
-{
-    const std::string path = temp_path("clean");
-    {
-        std::ofstream os(path);
-        JournalRecord rec;
-        rec.job_id = 0;
-        rec.status = JobStatus::kCompleted;
-        rec.attempts = 1;
-        rec.csv = "row0";
-        os << to_jsonl(rec) << "\n";
-        os << "{\"job\":1,\"status\":\"compl";  // torn, no newline
-    }
-    Journal journal(path);
-    EXPECT_EQ(journal.recovered().size(), 1u);
-    JournalRecord rec;
-    rec.job_id = 2;
-    rec.status = JobStatus::kCompleted;
-    rec.attempts = 1;
-    rec.csv = "row2";
-    journal.append(rec);
-    // The torn line is gone; the new record was not glued to it.
-    std::size_t skipped = 99;
-    const auto records = Journal::load(path, &skipped);
-    EXPECT_EQ(skipped, 0u);
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_EQ(records[0].job_id, 0u);
-    EXPECT_EQ(records[1].job_id, 2u);
-    std::remove(path.c_str());
-}
-
-TEST(Journal, CompactionKeepsNewestRecordPerJob)
-{
-    const std::string path = temp_path("compact");
-    std::remove(path.c_str());
-    Journal journal(path, /*compact_threshold_bytes=*/256);
-    JournalRecord rec;
-    rec.job_id = 7;
-    rec.status = JobStatus::kFailed;
-    rec.error = JobErrorCode::kTimeout;
-    rec.error_message = "transient straggler";
-    // Re-record the same job until superseded bytes trip compaction.
-    for (int i = 0; i < 32; ++i) {
-        rec.attempts = i + 1;
-        journal.append(rec);
-    }
-    JournalRecord done;
-    done.job_id = 7;
-    done.status = JobStatus::kCompleted;
-    done.attempts = 33;
-    done.csv = "row7";
-    journal.append(done);
-    JournalRecord other;
-    other.job_id = 8;
-    other.status = JobStatus::kCompleted;
-    other.attempts = 1;
-    other.csv = "row8";
-    journal.append(other);
-
-    EXPECT_GE(journal.compactions(), 1u);
-    // Dead bytes are bounded by the threshold: 33 superseded ~90-byte
-    // records would otherwise leave ~3KB of garbage.
-    EXPECT_LE(journal.disk_bytes() - journal.live_bytes(), 256u);
-    EXPECT_LE(journal.disk_bytes(), 256u + journal.live_bytes());
-    // The newest record per job survives every compaction: job 7's
-    // completion supersedes all of its journaled failures.
-    const auto records = Journal::load(path);
-    EXPECT_LE(records.size(), 6u);  // 35 appends, mostly compacted away
-    const JournalRecord *last7 = nullptr;
-    const JournalRecord *last8 = nullptr;
-    for (const JournalRecord &r : records) {
-        if (r.job_id == 7) {
-            last7 = &r;
-        }
-        if (r.job_id == 8) {
-            last8 = &r;
-        }
-    }
-    ASSERT_NE(last7, nullptr);
-    EXPECT_EQ(last7->status, JobStatus::kCompleted);
-    EXPECT_EQ(last7->attempts, 33);
-    EXPECT_EQ(last7->csv, "row7");
-    ASSERT_NE(last8, nullptr);
-    EXPECT_EQ(last8->status, JobStatus::kCompleted);
-    std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Checksums + injected write faults
-// ---------------------------------------------------------------------------
 
 TEST(Journal, ChecksumIgnoresAttemptsButNotResults)
 {
-    JournalRecord rec;
+    ResultRecord rec;
     rec.job_id = 3;
-    rec.status = JobStatus::kCompleted;
     rec.attempts = 1;
     rec.csv = "w,s,p,1.25";
     rec.aux = {0.5};
 
-    JournalRecord rerun = rec;
-    rerun.attempts = 4;  // a stolen job retried more times upstream
+    ResultRecord rerun = rec;
+    rerun.attempts = 4;  // the same job retried more times elsewhere
     EXPECT_EQ(record_checksum(rec), record_checksum(rerun));
 
-    JournalRecord other = rec;
+    ResultRecord other = rec;
     other.csv = "w,s,p,1.26";
     EXPECT_NE(record_checksum(rec), record_checksum(other));
     other = rec;
     other.aux = {0.5000001};
     EXPECT_NE(record_checksum(rec), record_checksum(other));
     other = rec;
-    other.status = JobStatus::kFailed;
+    other.job_id = 4;
     EXPECT_NE(record_checksum(rec), record_checksum(other));
 }
 
 TEST(Journal, TamperedLineIsRejectedByChecksum)
 {
-    JournalRecord rec;
+    ResultRecord rec;
     rec.job_id = 9;
-    rec.status = JobStatus::kCompleted;
     rec.attempts = 1;
     rec.csv = "workload9,suite,s,p,1.5";
     std::string line = to_jsonl(rec);
@@ -647,124 +460,16 @@ TEST(Journal, TamperedLineIsRejectedByChecksum)
     const std::size_t at = line.find("workload9");
     ASSERT_NE(at, std::string::npos);
     line[at] = 'W';
-    JournalRecord back;
+    ResultRecord back;
     std::string error;
     EXPECT_FALSE(from_jsonl(line, back, &error));
 
-    // A pre-checksum journal line (no "sum" field) still parses.
-    std::string legacy = to_jsonl(rec);
-    const std::size_t sum_at = legacy.rfind(",\"sum\":");
+    // A record without its "sum" is not trusted either.
+    std::string unsummed = to_jsonl(rec);
+    const std::size_t sum_at = unsummed.rfind(",\"sum\":");
     ASSERT_NE(sum_at, std::string::npos);
-    legacy.erase(sum_at, legacy.rfind('}') - sum_at);
-    ASSERT_TRUE(from_jsonl(legacy, back, &error)) << error;
-    EXPECT_EQ(back.csv, rec.csv);
-}
-
-TEST(Journal, InjectedShortWriteFailsAppendThenRetriesClean)
-{
-    const std::string path = temp_path("enospc");
-    std::remove(path.c_str());
-    Journal journal(path);
-    JournalRecord rec;
-    rec.job_id = 0;
-    rec.status = JobStatus::kCompleted;
-    rec.attempts = 1;
-    rec.csv = "row0";
-    journal.append(rec);
-
-    // Every write fails as a disk-full short write from here on.
-    set_journal_write_gate(
-        [](const std::string &, const std::string &) { return false; });
-    rec.job_id = 1;
-    rec.csv = "row1";
-    EXPECT_THROW(journal.append(rec), JobError);
-    set_journal_write_gate(nullptr);
-
-    // The failed append tore the tail; the retry first rewrites the
-    // file clean, so nothing is lost and nothing is glued together.
-    journal.append(rec);
-    std::size_t skipped = 99;
-    const auto records = Journal::load(path, &skipped);
-    EXPECT_EQ(skipped, 0u);
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_EQ(records[0].job_id, 0u);
-    EXPECT_EQ(records[1].job_id, 1u);
-    EXPECT_EQ(records[1].csv, "row1");
-    std::remove(path.c_str());
-}
-
-TEST(Journal, FailedCompactionIsDeferredNotFatal)
-{
-    const std::string path = temp_path("defer");
-    std::remove(path.c_str());
-    Journal journal(path, /*compact_threshold_bytes=*/256);
-
-    // Replacement-file writes (write-to-temp + rename) fail; direct
-    // appends succeed. Compaction must be deferred, never fatal.
-    set_journal_write_gate(
-        [&](const std::string &gated, const std::string &) {
-            return gated == path;
-        });
-    JournalRecord rec;
-    rec.job_id = 7;
-    rec.status = JobStatus::kFailed;
-    rec.error = JobErrorCode::kTimeout;
-    rec.error_message = "transient straggler";
-    for (int i = 0; i < 32; ++i) {
-        rec.attempts = i + 1;
-        EXPECT_NO_THROW(journal.append(rec));
-    }
-    EXPECT_EQ(journal.compactions(), 0u);
-    // The journal is fully intact despite the blocked compactions.
-    EXPECT_EQ(Journal::load(path).size(), 32u);
-
-    // Disk pressure clears: the next superseding append compacts.
-    set_journal_write_gate(nullptr);
-    rec.attempts = 33;
-    journal.append(rec);
-    EXPECT_GE(journal.compactions(), 1u);
-    const auto records = Journal::load(path);
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].attempts, 33);
-    std::remove(path.c_str());
-}
-
-TEST(Journal, TwoWritersOneFileInterleaveSafely)
-{
-    // Two Journal instances on one path model the misconfiguration
-    // the shard layer avoids by design (per-shard journals): plain
-    // interleaved appends must still all land and load cleanly, as
-    // long as neither instance compacts (thresholds stay default).
-    const std::string path = temp_path("two");
-    std::remove(path.c_str());
-    JournalRecord rec;
-    rec.status = JobStatus::kCompleted;
-    rec.attempts = 1;
-    {
-        Journal a(path);
-        rec.job_id = 0;
-        rec.csv = "a0";
-        a.append(rec);
-        Journal b(path);  // opened later: sees a's record
-        EXPECT_EQ(b.recovered().size(), 1u);
-        rec.job_id = 1;
-        rec.csv = "b1";
-        b.append(rec);
-        rec.job_id = 2;
-        rec.csv = "a2";
-        a.append(rec);
-        rec.job_id = 3;
-        rec.csv = "b3";
-        b.append(rec);
-    }
-    std::size_t skipped = 99;
-    const auto records = Journal::load(path, &skipped);
-    EXPECT_EQ(skipped, 0u);
-    ASSERT_EQ(records.size(), 4u);
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(records[i].job_id, i);
-    }
-    std::remove(path.c_str());
+    unsummed.erase(sum_at, unsummed.rfind('}') - sum_at);
+    EXPECT_FALSE(from_jsonl(unsummed, back, &error));
 }
 
 // ---------------------------------------------------------------------------
@@ -777,32 +482,22 @@ TEST(ProcessFaults, DecisionsAreDeterministicAndGated)
     plan.enabled = true;
     plan.seed = 5;
     plan.kill_rate = 0.5;
-    plan.write_fail_rate = 0.25;
     ProcessFaultInjector a(plan);
     ProcessFaultInjector b(plan);
     bool saw_kill = false;
     for (std::size_t job = 0; job < 64; ++job) {
-        for (const ShardFaultPoint point :
-             {ShardFaultPoint::kClaim, ShardFaultPoint::kRun,
-              ShardFaultPoint::kCommit}) {
+        for (const KillPoint point : {KillPoint::kRun, KillPoint::kCommit}) {
             const bool ka = a.should_kill(point, job);
             EXPECT_EQ(ka, b.should_kill(point, job));
             saw_kill |= ka;
         }
     }
     EXPECT_TRUE(saw_kill);
-    bool saw_write_fail = false;
-    for (std::uint64_t nth = 0; nth < 64; ++nth) {
-        EXPECT_EQ(a.should_fail_write(nth), b.should_fail_write(nth));
-        saw_write_fail |= a.should_fail_write(nth);
-    }
-    EXPECT_TRUE(saw_write_fail);
 
     plan.enabled = false;
     ProcessFaultInjector off(plan);
     for (std::size_t job = 0; job < 32; ++job) {
-        EXPECT_FALSE(off.should_kill(ShardFaultPoint::kClaim, job));
-        EXPECT_FALSE(off.should_fail_write(job));
+        EXPECT_FALSE(off.should_kill(KillPoint::kRun, job));
     }
 }
 
@@ -810,15 +505,15 @@ using ProcessFaultsDeathTest = ::testing::Test;
 
 TEST(ProcessFaultsDeathTest, MaybeKillDeliversRealSigkill)
 {
-    // The honest crash: no exit handlers, no destructors — the shard
-    // layer's lease recovery is built against exactly this signal.
+    // The honest crash: no exit handlers, no destructors — the result
+    // directory's recovery is built against exactly this signal.
     ProcessFaultPlan plan;
     plan.enabled = true;
     plan.kill_rate = 1.0;
     EXPECT_EXIT(
         {
             ProcessFaultInjector injector(plan);
-            injector.maybe_kill(ShardFaultPoint::kCommit, 0);
+            injector.maybe_kill(KillPoint::kCommit, 0);
             std::_Exit(0);  // unreachable when the kill fires
         },
         ::testing::KilledBySignal(SIGKILL), "");

@@ -96,30 +96,34 @@ struct GoldenRow {
 
 // Generated on the pre-refactor layouts.  Regenerate only when
 // simulation semantics intentionally change, never for a data-layout
-// refactor.  The snapshot_digest column was re-pinned once, for
-// snapshot format version 2 (LRU stamps -> per-way recency ranks):
-// each old row's bytes, with every cache's stamps converted to ranks
-// and the version and section sums rewritten, equal the new bytes.
-// The metrics_digest column did not move.
+// refactor.  The snapshot_digest column was re-pinned for snapshot
+// format version 2 (LRU stamps -> per-way recency ranks): each old
+// row's bytes, with every cache's stamps converted to ranks and the
+// version and section sums rewritten, equal the new bytes.  It was
+// re-pinned again for version 3 (the audit cadence left core.state,
+// so audit-enabled builds write the same bytes): each version-2 row
+// with that u64 cut from every core.state section, and the version
+// and section sums rewritten, equals the new bytes.  The
+// metrics_digest column never moved.
 constexpr GoldenRow kGolden[] = {
-    {"dripper", "parsec.stream.0", 0xfefbc32a249be307ull, 0x7873dffa91c221dfull},
-    {"permit", "parsec.stream.0", 0x68c573bb8c4a9f7aull, 0x7873dffa91c221dfull},
-    {"ppf", "parsec.stream.0", 0x97a9be0f9cca8117ull, 0xfad344a3d7cd329bull},
-    {"discard", "parsec.stream.0", 0xa2de119adc4bd3e4ull, 0x513b0dc733f2ebcdull},
-    {"dripper", "spec06.gather.1", 0x7087561305ae3efaull, 0x19092a40a62fbb3bull},
-    {"permit", "spec06.gather.1", 0x92e956a6a3cbebdaull, 0x19092a40a62fbb3bull},
-    {"ppf", "spec06.gather.1", 0xdbdab7b87ad8b02full, 0xf361a57e8d9563afull},
-    {"discard", "spec06.gather.1", 0x5a45b8a4b9849e82ull, 0x3941f4f8ee712a83ull},
+    {"dripper", "parsec.stream.0", 0x6ffa8e2fb6ba0478ull, 0x7873dffa91c221dfull},
+    {"permit", "parsec.stream.0", 0x14db9c490d744d6bull, 0x7873dffa91c221dfull},
+    {"ppf", "parsec.stream.0", 0x4a460cc5ca4b22ccull, 0xfad344a3d7cd329bull},
+    {"discard", "parsec.stream.0", 0xb6ff4e8ba9bf7bdaull, 0x513b0dc733f2ebcdull},
+    {"dripper", "spec06.gather.1", 0x8c4669d485c19622ull, 0x19092a40a62fbb3bull},
+    {"permit", "spec06.gather.1", 0x49b995a51de9e1acull, 0x19092a40a62fbb3bull},
+    {"ppf", "spec06.gather.1", 0x093d0feeec27b8cbull, 0xf361a57e8d9563afull},
+    {"discard", "spec06.gather.1", 0x1cd36a465440b0a7ull, 0x3941f4f8ee712a83ull},
 };
 
 constexpr GoldenRow kGoldenTrace[] = {
-    {"dripper", "trace:spec06.hash.4", 0xeeaebc4866af8aa1ull, 0x61bd44852deab3b6ull},
-    {"permit", "trace:spec06.hash.4", 0x543beb782ce30425ull, 0x61bd44852deab3b6ull},
+    {"dripper", "trace:spec06.hash.4", 0xf36247f513288c6aull, 0x61bd44852deab3b6ull},
+    {"permit", "trace:spec06.hash.4", 0x62d897b21e22ffb8ull, 0x61bd44852deab3b6ull},
 };
 
 constexpr GoldenRow kGoldenMix[] = {
-    {"dripper", "mix2:stream+gather", 0xe53c118d4f77aad8ull, 0x697123b20d884c63ull},
-    {"discard", "mix2:stream+gather", 0x6825e3abbe77453cull, 0xa05e4b9e6186f1f3ull},
+    {"dripper", "mix2:stream+gather", 0x3b9f4f074ce1dfd5ull, 0x697123b20d884c63ull},
+    {"discard", "mix2:stream+gather", 0x1a737c5e80079404ull, 0xa05e4b9e6186f1f3ull},
 };
 
 TEST(LayoutEquivalence, SingleCoreSchemesMatchGoldenDigests)

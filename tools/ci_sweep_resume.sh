@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# CI crash-recovery drill for the job engine:
+# CI crash-recovery drill for the result directory
+# (sim/jobs/results.h):
 #
 #   1. run a fault-injected sweep to completion -> reference CSV;
-#   2. run the identical sweep again, SIGKILL it mid-run;
-#   3. resume from the surviving journal;
-#   4. the resumed CSV must be byte-identical to the reference.
+#   2. run the identical sweep over a fresh --results-dir and SIGKILL
+#      it mid-run;
+#   3. re-run the same command over the same directory;
+#   4. its CSV must be byte-identical to the reference, and the
+#      directory must hold exactly one record per completed job.
 #
 # Usage: ci_sweep_resume.sh <path-to-sweep_tool> [workdir]
 set -u
@@ -12,6 +15,8 @@ set -u
 SWEEP=${1:?usage: ci_sweep_resume.sh <sweep_tool> [workdir]}
 WORK=${2:-$(mktemp -d)}
 mkdir -p "$WORK"
+DIR="$WORK/results"
+rm -rf "$DIR"
 
 # Big enough that the mid-run KILL reliably lands before the sweep
 # finishes, small enough to stay fast: 16 workloads x 3 schemes.
@@ -20,8 +25,7 @@ ARGS=(--workloads 16 --insts 200000 --warmup 50000
       --inject-faults 0.15 --fault-seed 7)
 
 echo "== reference run (uninterrupted) =="
-"$SWEEP" "${ARGS[@]}" --journal "$WORK/ref.jsonl" \
-    > "$WORK/ref.csv" 2> "$WORK/ref.err"
+"$SWEEP" "${ARGS[@]}" > "$WORK/ref.csv" 2> "$WORK/ref.err"
 status=$?
 # Injected faults make a partial-results exit (1) expected; anything
 # else is a usage or crash bug.
@@ -30,22 +34,32 @@ if [ "$status" -ne 0 ] && [ "$status" -ne 1 ]; then
     exit 1
 fi
 cat "$WORK/ref.err"
+completed=$(($(wc -l < "$WORK/ref.csv") - 1))
 
 echo "== interrupted run (SIGKILL mid-sweep) =="
-"$SWEEP" "${ARGS[@]}" --journal "$WORK/crash.jsonl" \
+"$SWEEP" "${ARGS[@]}" --results-dir "$DIR" \
     > "$WORK/crash.csv" 2> "$WORK/crash.err" &
 pid=$!
-# Let it journal a few jobs, then kill it hard.
-sleep 2
+# Let it store a few jobs, then kill it hard. Polling the directory
+# instead of sleeping a fixed time keeps the kill mid-sweep on a host
+# of any speed.
+for _ in $(seq 1 600); do
+    stored=$(find "$DIR" -name '*.jsonl' 2>/dev/null | wc -l)
+    [ "$stored" -ge 5 ] && break
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.05
+done
 kill -KILL "$pid" 2>/dev/null
 wait "$pid" 2>/dev/null
-done_jobs=$(wc -l < "$WORK/crash.jsonl" 2>/dev/null || echo 0)
-total_jobs=$(wc -l < "$WORK/ref.jsonl")
-echo "journal survived the kill with $done_jobs/$total_jobs job(s)"
+survived=$(find "$DIR" -name '*.jsonl' | wc -l)
+echo "result directory survived the kill with $survived/$completed record(s)"
+if [ "$survived" -ge "$completed" ]; then
+    echo "FAIL: the sweep finished before the kill; nothing to resume" >&2
+    exit 1
+fi
 
-echo "== resumed run =="
-"$SWEEP" "${ARGS[@]}" --resume "$WORK/crash.jsonl" \
-    --journal "$WORK/resumed.jsonl" \
+echo "== re-run over the same directory =="
+"$SWEEP" "${ARGS[@]}" --results-dir "$DIR" \
     > "$WORK/resumed.csv" 2> "$WORK/resumed.err"
 status=$?
 if [ "$status" -ne 0 ] && [ "$status" -ne 1 ]; then
@@ -60,9 +74,11 @@ if ! diff -q "$WORK/ref.csv" "$WORK/resumed.csv"; then
     diff "$WORK/ref.csv" "$WORK/resumed.csv" | head -20 >&2
     exit 1
 fi
-if [ "$(wc -l < "$WORK/resumed.jsonl")" -ne "$total_jobs" ]; then
-    echo "FAIL: resumed journal is not a complete resume point" >&2
+records=$(find "$DIR" -name '*.jsonl' | wc -l)
+if [ "$records" -ne "$completed" ]; then
+    echo "FAIL: $records record(s) for $completed completed job(s)" >&2
     exit 1
 fi
 echo "PASS: resume reproduced the reference CSV byte-for-byte" \
-     "($done_jobs job(s) recovered from the journal)"
+     "($survived job(s) reused; $records record(s) for $completed" \
+     "completed job(s))"

@@ -12,9 +12,7 @@ This module builds a lexer-level call graph over the project (the
 same comment/literal-blanked *code* text every other rule uses) and
 computes the set of functions reachable from SIM_HOT roots without
 passing through a SIM_COLD declaration.  Rules L10-L14 then enforce
-the hot-path contract only inside those function bodies, and
-tools/optreport_tool.py joins compiler optimization remarks against
-the same set to rank the speedup worklist.
+the hot-path contract only inside those function bodies.
 
 The call graph is deliberately over-approximate at call sites — a
 call ``foo(...)`` reaches *every* project function named ``foo``, so

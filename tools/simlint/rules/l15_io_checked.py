@@ -42,12 +42,12 @@ def _consumed(code: str, start: int) -> bool:
 
 @rule("L15", "jobs I/O: check fwrite/fflush/fclose/rename results")
 def check(project: Project) -> List[Finding]:
-    """The journal/lease layer under src/sim/jobs/ is the crash-safety
-    boundary: sharded sweeps recover by re-reading what these files
-    claim was durably written.  An fwrite/fflush/fclose/rename whose
-    result is dropped turns disk-full or a torn write into silent data
-    loss — exactly the faults the chaos drill injects (faults.h
-    should_fail_write, tools/ci_chaos_shard.sh).
+    """The result directory under src/sim/jobs/ is the crash-safety
+    boundary: re-runs and peer processes trust whatever record files
+    it published.  An fwrite/fflush/fclose/rename whose result is
+    dropped turns disk-full or a torn write into a silently missing or
+    half-written record — the crashes the drills inject
+    (tools/ci_sweep_resume.sh, tools/ci_chaos_shard.sh).
 
     The rule flags statement-position calls (result discarded) in any
     file under src/sim/jobs/.  Results fed into a comparison,
@@ -76,9 +76,10 @@ def check(project: Project) -> List[Finding]:
                     "L15",
                     sf.path,
                     no,
-                    f"`{m.group(1)}` result discarded in a journal/lease "
-                    "path; check it (disk-full and torn writes are "
-                    "simulated here) or annotate `LINT_IO_OK: <why>`",
+                    f"`{m.group(1)}` result discarded in a result-directory "
+                    "path; check it (a dropped failure turns disk-full "
+                    "into a missing record) or annotate "
+                    "`LINT_IO_OK: <why>`",
                 )
             )
     return out

@@ -71,7 +71,7 @@ def check(project: Project) -> List[Finding]:
       `LINT_NONDET_OK: <why>` on or just above the line;
     * range-for iteration over `std::unordered_*` containers — the
       libstdc++ hash order is salt/layout-dependent, so any
-      report/CSV/journal surface fed by it reorders between runs.
+      report/CSV/record surface fed by it reorders between runs.
       Sort into a vector first, or annotate an order-independent use
       (a commutative reduction) with `LINT_ORDER_OK: <why>`;
     * pointer-valued ordering keys (`map<T*, ...>`, `set<T*>`,

@@ -11,25 +11,23 @@
  *              [--prefetcher berti|ipcp|bop|stride|nl]
  *              [--schemes discard,permit,dripper,...]
  *              [--unseen] [--large-pages F]
- *              [--jobs N] [--journal FILE] [--resume FILE]
- *              [--fail-fast] [--inject-faults RATE] [--fault-seed N]
- *              [--shard-dir DIR] [--shard-name NAME] [--lease-ttl MS]
- *              [--merge] [--inject-kill RATE]
+ *              [--jobs N] [--results-dir DIR] [--fail-fast]
+ *              [--inject-faults RATE] [--inject-kill RATE]
+ *              [--fault-seed N]
  *              [--telemetry-dir DIR] [--trace-events FILE]
  *              [--snapshot-dir DIR] [--no-snapshot-reuse]
  *
  * Example:
  *   sweep_tool --workloads 32 --schemes discard,permit,dripper \
- *       --jobs 8 --journal sweep.jsonl > results.csv
+ *       --jobs 8 --results-dir sweep.d > results.csv
  *
- * The CSV is byte-identical for any --jobs count, and a sweep resumed
- * from its journal reproduces the uninterrupted output exactly.
- *
- * Multi-process sweeps: launch N processes with identical matrix
- * flags and the same --shard-dir; each claims jobs via leases, and
- * dead shards are recovered by the survivors (sim/jobs/shard.h).
- * Afterwards, `sweep_tool <same flags> --shard-dir D --merge` emits
- * the CSV a single-process run would have produced, byte-identical.
+ * The CSV is byte-identical for any --jobs count. With --results-dir
+ * every finished job is stored as its own file in DIR; re-running the
+ * same command over DIR runs only the missing jobs and prints the
+ * same CSV (resume). Any number of processes may share DIR: each
+ * prints the complete CSV when it finishes (sim/jobs/results.h).
+ * --inject-kill makes a process SIGKILL itself at seeded points
+ * between jobs (crash drills; needs --results-dir).
  *
  * Warmup reuse: with --snapshot-dir, every job that warms up the same
  * (workload, machine config, warmup budget) key shares one warmup via
@@ -97,24 +95,14 @@ main(int argc, char **argv)
             large_pages = require_double(a, next());
         } else if (a == "--jobs") {
             args.jobs = require_u64(a, next());
-        } else if (a == "--journal") {
-            args.journal = next();
-        } else if (a == "--resume") {
-            args.resume = next();
+        } else if (a == "--results-dir") {
+            args.results_dir = next();
         } else if (a == "--fail-fast") {
             args.fail_fast = true;
         } else if (a == "--inject-faults") {
             args.fault_rate = require_double(a, next());
         } else if (a == "--fault-seed") {
             args.fault_seed = require_u64(a, next());
-        } else if (a == "--shard-dir") {
-            args.shard_dir = next();
-        } else if (a == "--shard-name") {
-            args.shard_name = next();
-        } else if (a == "--lease-ttl") {
-            args.lease_ttl_ms = require_u64(a, next());
-        } else if (a == "--merge") {
-            args.merge = true;
         } else if (a == "--inject-kill") {
             args.kill_rate = require_double(a, next());
         } else if (a == "--telemetry-dir") {
