@@ -95,28 +95,6 @@ struct PrefetchStats
     }
 };
 
-class MetricRegistry;
-
-/**
- * Register read-on-snapshot probes for @p stats under
- * `<prefix>.accesses` / `<prefix>.misses` / `<prefix>.miss_rate`.
- * @p stats must outlive the registry's snapshotting (the probes read
- * it live). Implemented in telemetry/registry.cc so stats.h stays
- * header-light for the hot path.
- */
-void register_access_stats(MetricRegistry &registry,
-                           const std::string &prefix,
-                           const AccessStats *stats);
-
-/**
- * Probe registration for @p stats under `<prefix>.{issued, useful,
- * useless, pgc_issued, pgc_useful, pgc_useless, pgc_dropped,
- * accuracy, pgc_accuracy}`.
- */
-void register_prefetch_stats(MetricRegistry &registry,
-                             const std::string &prefix,
-                             const PrefetchStats *stats);
-
 /** Geometric mean of speedup ratios; ignores non-positive entries. */
 double geomean(const std::vector<double> &ratios);
 

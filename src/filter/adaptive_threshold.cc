@@ -130,14 +130,6 @@ void AdaptiveThreshold::save_state(SnapshotWriter &w) const
     w.put_f64(prev_.pgc_accuracy);
     w.put_bool(prev_.accuracy_valid);
     w.put_f64(prev_.ipc);
-    w.put_u64(tel_.rob_clamps);
-    w.put_u64(tel_.acc_clamps);
-    w.put_u64(tel_.l1i_clamps);
-    w.put_u64(tel_.disable_intervals);
-    w.put_u64(tel_.epoch_acc_clamps);
-    w.put_u64(tel_.nudges_up);
-    w.put_u64(tel_.nudges_down);
-    w.put_u64(tel_.ipc_drop_clamps);
 }
 
 void AdaptiveThreshold::restore_state(SnapshotReader &r)
@@ -149,14 +141,6 @@ void AdaptiveThreshold::restore_state(SnapshotReader &r)
     prev_.pgc_accuracy = r.get_f64();
     prev_.accuracy_valid = r.get_bool();
     prev_.ipc = r.get_f64();
-    tel_.rob_clamps = r.get_u64();
-    tel_.acc_clamps = r.get_u64();
-    tel_.l1i_clamps = r.get_u64();
-    tel_.disable_intervals = r.get_u64();
-    tel_.epoch_acc_clamps = r.get_u64();
-    tel_.nudges_up = r.get_u64();
-    tel_.nudges_down = r.get_u64();
-    tel_.ipc_drop_clamps = r.get_u64();
 }
 
 }  // namespace moka

@@ -117,7 +117,7 @@ class AdaptiveThreshold
     bool pgc_disabled_ = false;
     bool have_prev_ = false;
     EpochInfo prev_;
-    ThresholdTelemetry tel_;
+    ThresholdTelemetry tel_;  // LINT_SNAPSHOT_OK: observation, not state
 };
 
 }  // namespace moka

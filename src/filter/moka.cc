@@ -275,32 +275,6 @@ get_record(SnapshotReader &r, VirtDecisionRecord &rec)
     rec.system_mask = r.get_u8();
 }
 
-void
-put_threshold_tel(SnapshotWriter &w, const ThresholdTelemetry &t)
-{
-    w.put_u64(t.rob_clamps);
-    w.put_u64(t.acc_clamps);
-    w.put_u64(t.l1i_clamps);
-    w.put_u64(t.disable_intervals);
-    w.put_u64(t.epoch_acc_clamps);
-    w.put_u64(t.nudges_up);
-    w.put_u64(t.nudges_down);
-    w.put_u64(t.ipc_drop_clamps);
-}
-
-void
-get_threshold_tel(SnapshotReader &r, ThresholdTelemetry &t)
-{
-    t.rob_clamps = r.get_u64();
-    t.acc_clamps = r.get_u64();
-    t.l1i_clamps = r.get_u64();
-    t.disable_intervals = r.get_u64();
-    t.epoch_acc_clamps = r.get_u64();
-    t.nudges_up = r.get_u64();
-    t.nudges_down = r.get_u64();
-    t.ipc_drop_clamps = r.get_u64();
-}
-
 }  // namespace
 
 void
@@ -320,24 +294,6 @@ MokaFilter::save_state(SnapshotWriter &w) const
     pub_.save_state(w);
     put_record(w, pending_);
     w.put_bool(pending_valid_);
-    w.put_bool(tel_.valid);
-    w.put_i64(tel_.t_a);
-    w.put_i64(tel_.level);
-    w.put_bool(tel_.pgc_disabled);
-    w.put_u64(tel_.decisions);
-    w.put_u64(tel_.permits);
-    w.put_u64(tel_.vub_rewards);
-    w.put_u64(tel_.pub_rewards);
-    w.put_u64(tel_.pub_punishes);
-    w.put_i64(tel_.sum_total);
-    for (std::uint64_t v : tel_.sum_hist) {
-        w.put_u64(v);
-    }
-    w.put_u64(tel_.num_features);
-    for (std::uint64_t v : tel_.feature_abs) {
-        w.put_u64(v);
-    }
-    put_threshold_tel(w, tel_.threshold);
     thresholds_.save_state(w);
 }
 
@@ -361,24 +317,6 @@ MokaFilter::restore_state(SnapshotReader &r)
     pub_.restore_state(r);
     get_record(r, pending_);
     pending_valid_ = r.get_bool();
-    tel_.valid = r.get_bool();
-    tel_.t_a = static_cast<int>(r.get_i64());
-    tel_.level = static_cast<int>(r.get_i64());
-    tel_.pgc_disabled = r.get_bool();
-    tel_.decisions = r.get_u64();
-    tel_.permits = r.get_u64();
-    tel_.vub_rewards = r.get_u64();
-    tel_.pub_rewards = r.get_u64();
-    tel_.pub_punishes = r.get_u64();
-    tel_.sum_total = r.get_i64();
-    for (std::uint64_t &v : tel_.sum_hist) {
-        v = r.get_u64();
-    }
-    tel_.num_features = r.get_u64();
-    for (std::uint64_t &v : tel_.feature_abs) {
-        v = r.get_u64();
-    }
-    get_threshold_tel(r, tel_.threshold);
     thresholds_.restore_state(r);
 }
 

@@ -16,7 +16,6 @@
 #include "common/hot_path.h"
 #include "filter/adaptive_threshold.h"
 #include "filter/features.h"
-#include "filter/perceptron.h"
 #include "filter/system_features.h"
 #include "filter/update_buffer.h"
 
@@ -254,7 +253,8 @@ class MokaFilter : public PageCrossFilter
     //! permit()'d (virtual key), awaiting on_pgc_issued() to re-key
     VirtDecisionRecord pending_;
     bool pending_valid_ = false;
-    FilterTelemetry tel_;      //!< counter part of telemetry()
+    //! counter part of telemetry(); moves only while the gate is armed
+    FilterTelemetry tel_;  // LINT_SNAPSHOT_OK: observation, not state
 };
 
 }  // namespace moka

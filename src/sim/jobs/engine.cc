@@ -93,6 +93,7 @@ Watchdog::on_tick(std::uint64_t steps)
     if (step_budget_ > 0 && steps > step_budget_) {
         // LINT_HOT_OK: timeout exit; fires at most once per run
         // (rule L14).
+        step_budget_exhausted_ = true;
         std::ostringstream os;
         os << "watchdog: step budget " << step_budget_
            << " exhausted at tick " << steps;
@@ -178,7 +179,8 @@ JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
             res.error_message = "non-standard exception";
         }
         res.status = JobStatus::kFailed;
-        if (!is_transient(res.error) || attempt == cfg_.max_attempts) {
+        if (!is_transient(res.error) || watchdog.step_budget_exhausted() ||
+            attempt == cfg_.max_attempts) {
             break;
         }
         // Capped-exponential backoff before retrying a transient

@@ -9,9 +9,9 @@
  *    JobErrorCode instead of killing the sweep;
  *  - watchdog: a cooperative step-budget + wall-clock heartbeat
  *    threaded through Machine::run cancels hung or stalled runs;
- *  - retry: transient failures (timeout, OOM) retry with capped
- *    exponential backoff before the engine degrades gracefully to a
- *    partial-results report;
+ *  - retry: transient failures (wall-deadline timeout, OOM) retry
+ *    with capped exponential backoff before the engine degrades
+ *    gracefully to a partial-results report;
  *  - reuse: with a result directory (results.h) a re-run, or a peer
  *    process sharing it, loads stored jobs and runs only the rest;
  *  - determinism: results are emitted in ascending job id, and every
@@ -64,7 +64,10 @@ struct EngineConfig
  * Cooperative watchdog hook: cancels a run by throwing
  * JobError(kTimeout) once it exceeds its machine-step budget, or —
  * checked at a coarse heartbeat cadence so the hot path stays a
- * single compare — its wall-clock deadline.
+ * single compare — its wall-clock deadline. The engine retries a
+ * wall-deadline timeout but not an exhausted step budget: a step
+ * count is a pure function of the job spec, so every retry would
+ * exhaust it again.
  */
 class Watchdog final : public RunTickHook
 {
@@ -79,6 +82,9 @@ class Watchdog final : public RunTickHook
 
     void on_tick(std::uint64_t steps) override;
 
+    /** True once the step budget (not the deadline) cancelled a run. */
+    bool step_budget_exhausted() const { return step_budget_exhausted_; }
+
   private:
     //! wall-clock checks happen every this many ticks
     static constexpr std::uint64_t kHeartbeatSteps = 2048;
@@ -86,6 +92,7 @@ class Watchdog final : public RunTickHook
     std::uint64_t step_budget_;
     std::uint64_t wall_ms_;
     std::chrono::steady_clock::time_point deadline_;
+    bool step_budget_exhausted_ = false;
 };
 
 /** Per-attempt context the engine hands to a job body. */

@@ -55,19 +55,6 @@ run_single_workload(const MachineConfig &cfg, WorkloadPtr workload,
     return machine.measured(0);
 }
 
-namespace {
-
-/** Bump a snapshot telemetry counter (no-op without a session). */
-void
-count_snapshot(TelemetrySession *telemetry, const char *name)
-{
-    if (telemetry != nullptr && telemetry->active()) {
-        telemetry->registry().counter(name).add();
-    }
-}
-
-}  // namespace
-
 RunMetrics
 run_single_workload_snapshot(const MachineConfig &cfg,
                              const WorkloadFactory &make,
@@ -87,24 +74,15 @@ run_single_workload_snapshot(const MachineConfig &cfg,
     key = hash_combine(key, warmup_key);
     key = hash_combine(key, run.warmup_insts);
 
-    SnapshotCache::FetchOutcome outcome;
     // A throwing producer (watchdog timeout, injected fault) escapes
     // here and is classified by the job engine as usual.
-    const SnapshotBlob blob = cache.fetch(
-        key,
-        [&]() {
-            std::vector<WorkloadPtr> w;
-            w.push_back(make());
-            Machine machine(cfg, std::move(w));
-            machine.run(run.warmup_insts, hook);
-            return machine.save_snapshot();
-        },
-        &outcome);
-    count_snapshot(telemetry, outcome.hit ? "snapshot.hits"
-                                          : "snapshot.misses");
-    if (outcome.saved) {
-        count_snapshot(telemetry, "snapshot.saves");
-    }
+    const SnapshotBlob blob = cache.fetch(key, [&]() {
+        std::vector<WorkloadPtr> w;
+        w.push_back(make());
+        Machine machine(cfg, std::move(w));
+        machine.run(run.warmup_insts, hook);
+        return machine.save_snapshot();
+    });
 
     {
         // Hit or miss, the measuring machine is built by restore so
@@ -126,10 +104,9 @@ run_single_workload_snapshot(const MachineConfig &cfg,
             // Key collision or torn blob that survived the cache's
             // structural probe: classified (kSnapshotInvalid family),
             // counted, and the run falls back to a cold warmup below.
-            count_snapshot(telemetry, "snapshot.invalid");
+            cache.count_rejected();
         }
         if (restored) {
-            count_snapshot(telemetry, "snapshot.restores");
             machine.start_measurement();
             scoped.span("measure",
                         [&] { machine.run(run.measure_insts, run_hook); });

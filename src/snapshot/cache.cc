@@ -77,12 +77,10 @@ SnapshotCache::try_load(std::uint64_t key)
 }
 
 SnapshotBlob
-SnapshotCache::load_or_produce(std::uint64_t key, const Producer &produce,
-                               FetchOutcome &outcome)
+SnapshotCache::load_or_produce(std::uint64_t key, const Producer &produce)
 {
     if (SnapshotBlob found = try_load(key)) {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        outcome.hit = true;
         return found;
     }
 
@@ -93,19 +91,13 @@ SnapshotCache::load_or_produce(std::uint64_t key, const Producer &produce,
     auto blob = std::make_shared<const std::string>(produce());
     if (publish_file(path_for(key), *blob)) {
         saves_.fetch_add(1, std::memory_order_relaxed);
-        outcome.saved = true;
     }
     return blob;  // reused in-process even if unpublished
 }
 
 SnapshotBlob
-SnapshotCache::fetch(std::uint64_t key, const Producer &produce,
-                     FetchOutcome *outcome)
+SnapshotCache::fetch(std::uint64_t key, const Producer &produce)
 {
-    FetchOutcome local;
-    if (outcome == nullptr) {
-        outcome = &local;
-    }
     std::shared_future<SnapshotBlob> fut;
     bool owner = false;
     std::promise<SnapshotBlob> mine;
@@ -124,11 +116,10 @@ SnapshotCache::fetch(std::uint64_t key, const Producer &produce,
         // Memoized: the first caller's production (or load) is shared.
         SnapshotBlob blob = fut.get();
         hits_.fetch_add(1, std::memory_order_relaxed);
-        outcome->hit = true;
         return blob;
     }
     try {
-        SnapshotBlob blob = load_or_produce(key, produce, *outcome);
+        SnapshotBlob blob = load_or_produce(key, produce);
         mine.set_value(blob);
         return blob;
     } catch (...) {  // LINT_CATCH_OK: propagated to waiters + rethrown

@@ -36,7 +36,9 @@ class SnapshotCache
         std::uint64_t hits = 0;     //!< reused (memory or disk)
         std::uint64_t misses = 0;   //!< produced by warmup
         std::uint64_t saves = 0;    //!< published to disk
-        std::uint64_t invalid = 0;  //!< corrupt/rejected files dropped
+        //! corrupt files dropped, plus blobs the machine rejected on
+        //! restore (each of those runs fell back to a cold warmup)
+        std::uint64_t invalid = 0;
 
         /** Delta between two polls (interval reporting). */
         Stats operator-(const Stats &o) const
@@ -48,13 +50,6 @@ class SnapshotCache
 
     /** Produces snapshot bytes by running the warmup. */
     using Producer = std::function<std::string()>;
-
-    /** What one fetch did (for per-job telemetry counters). */
-    struct FetchOutcome
-    {
-        bool hit = false;    //!< reused (memory or disk)
-        bool saved = false;  //!< this fetch published to disk
-    };
 
     /**
      * @param dir snapshot directory (created on first publish)
@@ -70,9 +65,18 @@ class SnapshotCache
      * @throws whatever @p produce throws (a failed warmup propagates).
      */
     SIM_COLD SnapshotBlob fetch(std::uint64_t key,
-                                const Producer &produce,
-                                FetchOutcome *outcome = nullptr)
+                                const Producer &produce)
         SIM_EXCLUDES(mu_);
+
+    /**
+     * Count a fetched blob that Machine::restore_snapshot rejected
+     * (a key collision or a torn blob that passed the structural
+     * probe) in Stats::invalid.
+     */
+    SIM_COLD void count_rejected()
+    {
+        invalid_.fetch_add(1, std::memory_order_relaxed);
+    }
 
     /** Snapshot directory. */
     const std::string &dir() const { return dir_; }
@@ -85,8 +89,7 @@ class SnapshotCache
 
   private:
     SIM_COLD SnapshotBlob load_or_produce(std::uint64_t key,
-                                          const Producer &produce,
-                                          FetchOutcome &outcome);
+                                          const Producer &produce);
     /** Validated read of a published file; null when absent/corrupt. */
     SIM_COLD SnapshotBlob try_load(std::uint64_t key);
 

@@ -43,8 +43,10 @@ namespace moka {
 //! replacement state is one recency-rank byte per cache block (was a
 //! u64 timestamp per block plus the policy clock). Version 3: the
 //! per-core audit cadence is no longer stored, so audit-enabled and
-//! default builds write the same bytes.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+//! default builds write the same bytes. Version 4: the filter's and
+//! the adaptive threshold's telemetry counters are no longer stored,
+//! so an armed and a disarmed warmup write the same bytes.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 //! container magic, first 8 bytes of every snapshot
 inline constexpr char kSnapshotMagic[8] = {'M', 'O', 'K', 'A',

@@ -2,7 +2,7 @@
  * @file
  * Telemetry master switch, separated from the session types so hot
  * subsystems (filter, machine) can test the gate without pulling in
- * the registry/tracer headers.
+ * the session/tracer headers.
  *
  * Two gates keep observability free when unused:
  *
@@ -11,8 +11,8 @@
  *    compile-time `false` so every instrumentation site is dead code;
  *  - runtime gate: in telemetry-enabled builds (the default), a
  *    sample point costs exactly one predictable branch on a relaxed
- *    atomic until the MOKASIM_TELEMETRY environment variable or a
- *    tool flag (--telemetry-dir / --trace-events) arms the subsystem.
+ *    atomic until a tool flag (--telemetry-dir / --trace-events)
+ *    arms the subsystem through its TelemetrySession.
  */
 #ifndef MOKASIM_TELEMETRY_GATE_H
 #define MOKASIM_TELEMETRY_GATE_H
@@ -47,13 +47,6 @@ telemetry_enabled()
 
 /** Arm/disarm the runtime gate (tools call this from flag parsing). */
 void set_telemetry_enabled(bool enabled);
-
-/**
- * True when the MOKASIM_TELEMETRY environment variable requests
- * telemetry ("", "0", "off", "false" count as off). The gate is also
- * initialized from this at process start.
- */
-bool telemetry_env_requested();
 
 }  // namespace moka
 

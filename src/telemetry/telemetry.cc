@@ -1,31 +1,17 @@
 #include "telemetry/telemetry.h"
 
-#include <cstdlib>
 #include <filesystem>
 
 namespace moka {
 
 namespace telemetry_detail {
-std::atomic<bool> g_enabled{telemetry_env_requested()};
+std::atomic<bool> g_enabled{false};
 }  // namespace telemetry_detail
 
 void
 set_telemetry_enabled(bool enabled)
 {
     telemetry_detail::g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-telemetry_env_requested()
-{
-    const char *env =  // NOLINT(concurrency-mt-unsafe): read once
-        std::getenv("MOKASIM_TELEMETRY");  // before any thread spawns
-    if (env == nullptr) {
-        return false;
-    }
-    const std::string v(env);
-    return !(v.empty() || v == "0" || v == "off" || v == "OFF" ||
-             v == "false" || v == "FALSE");
 }
 
 TelemetrySession::TelemetrySession(std::string dir, std::string trace_path)

@@ -77,21 +77,6 @@ Timeseries::write_jsonl(const std::string &path) const
     return static_cast<bool>(os);
 }
 
-void
-RegistrySampler::sample_into(std::vector<TimeseriesCell> &row)
-{
-    for (const MetricRegistry::Sample &s : registry_->snapshot()) {
-        if (!s.cumulative) {
-            row.emplace_back(s.name, s.value);
-            continue;
-        }
-        const auto it = last_.find(s.name);
-        const double prev = it == last_.end() ? 0.0 : it->second;
-        row.emplace_back(s.name, s.value - prev);
-        last_[s.name] = s.value;
-    }
-}
-
 EpochSampler::EpochSampler(std::uint64_t cadence, SampleFn fn)
     : cadence_(cadence), next_(cadence), fn_(std::move(fn))
 {
@@ -100,15 +85,11 @@ EpochSampler::EpochSampler(std::uint64_t cadence, SampleFn fn)
 }
 
 MachineSampler::MachineSampler(const Machine *machine, Timeseries *out,
-                               Tracer *tracer, std::uint32_t pid,
-                               const MetricRegistry *registry)
+                               Tracer *tracer, std::uint32_t pid)
     : machine_(machine), out_(out), tracer_(tracer), pid_(pid)
 {
     SIM_REQUIRE(machine_ != nullptr && out_ != nullptr,
                 "machine sampler needs a machine and a buffer");
-    if (registry != nullptr) {
-        registry_sampler_ = std::make_unique<RegistrySampler>(registry);
-    }
     // Baseline so the first sample reports the first epoch's deltas,
     // not cumulative-since-construction values.
     for (std::size_t i = 0; i < machine_->num_cores(); ++i) {
@@ -245,9 +226,6 @@ MachineSampler::sample(std::uint64_t steps)
         }
     }
 
-    if (registry_sampler_ != nullptr) {
-        registry_sampler_->sample_into(row);
-    }
     out_->append(row);
     ++sample_index_;
 }

@@ -1,6 +1,5 @@
 #include "trace/generators.h"
 
-#include <cmath>
 #include <utility>
 
 #include "common/hashing.h"
@@ -261,85 +260,6 @@ class GatherKernel : public AccessKernel
     unsigned gathers_left_ = 0;
 };
 
-/** 5-point stencil sweep (see make_stencil_kernel). */
-class StencilKernel : public AccessKernel
-{
-  public:
-    explicit StencilKernel(const StencilParams &p) : p_(p) {}
-
-    Access
-    next(Rng & /*rng*/) override
-    {
-        // Point order per element: N, W, C, E, S.
-        const Addr center =
-            p_.base + row_ * p_.row_bytes + col_ * p_.elem_bytes;
-        Addr a = center;
-        switch (point_) {
-          case 0: a = center - p_.row_bytes; break;  // north
-          case 1: a = center - p_.elem_bytes; break; // west
-          case 2: a = center; break;
-          case 3: a = center + p_.elem_bytes; break; // east
-          case 4: a = center + p_.row_bytes; break;  // south
-        }
-        // Distinct PC per stencil point: five recognizable streams.
-        const Addr pc = 0xC800 + Addr(point_) * 8;
-        if (++point_ == 5) {
-            point_ = 0;
-            if (++col_ >= p_.row_bytes / p_.elem_bytes - 1) {
-                col_ = 1;
-                if (++row_ == p_.rows) {  // compare-wrap (rule L19)
-                    row_ = 0;
-                }
-                if (row_ == 0) {
-                    row_ = 1;
-                }
-            }
-        }
-        return {a, pc, false};
-    }
-
-  private:
-    StencilParams p_;
-    Addr row_ = 1;
-    Addr col_ = 1;
-    unsigned point_ = 0;
-};
-
-/** Zipf-distributed point accesses (see make_zipf_kernel). */
-class ZipfKernel : public AccessKernel
-{
-  public:
-    explicit ZipfKernel(const ZipfParams &p) : p_(p)
-    {
-        // Rejection-free approximate Zipf via the inverse-CDF power
-        // trick: rank = N * u^(1/(1-skew)) biases towards low ranks.
-        blocks_ = p_.footprint / kBlockSize;
-    }
-
-    Access
-    next(Rng &rng) override
-    {
-        const double u = rng.uniform();
-        const double exponent = 1.0 / (1.0 - p_.skew);
-        const double frac = std::pow(u, exponent);
-        Addr block = static_cast<Addr>(frac * double(blocks_ - 1));
-        if (block >= blocks_) {
-            block = blocks_ - 1;
-        }
-        // Scramble ranks across the footprint so the hot set is not
-        // spatially contiguous (defeats trivial spatial prefetching).
-        // LINT_HOT_OK: semantic range reduction of the scramble hash;
-        // the Zipf footprint is not pow2 in general.
-        block = mix64(block) % blocks_;
-        return {p_.base + block * kBlockSize, 0xD800,
-                rng.chance(p_.store_frac)};
-    }
-
-  private:
-    ZipfParams p_;
-    Addr blocks_ = 0;
-};
-
 /** Same-PC dual-stride kernel (see make_dual_stride_kernel). */
 class DualStrideKernel : public AccessKernel
 {
@@ -587,18 +507,6 @@ KernelPtr
 make_gather_kernel(const GatherParams &p)
 {
     return std::make_unique<GatherKernel>(p);
-}
-
-KernelPtr
-make_stencil_kernel(const StencilParams &p)
-{
-    return std::make_unique<StencilKernel>(p);
-}
-
-KernelPtr
-make_zipf_kernel(const ZipfParams &p)
-{
-    return std::make_unique<ZipfKernel>(p);
 }
 
 KernelPtr

@@ -194,7 +194,7 @@ TEST(Backoff, CappedExponential)
 TEST(JobEngine, WatchdogCancelsOverBudgetJob)
 {
     EngineConfig cfg;
-    cfg.max_attempts = 2;
+    cfg.max_attempts = 3;
     cfg.backoff_base_ms = 0;
     JobEngine engine(cfg);
     auto jobs = trivial_jobs(1);
@@ -210,22 +210,28 @@ TEST(JobEngine, WatchdogCancelsOverBudgetJob)
         });
     EXPECT_EQ(report.results[0].status, JobStatus::kFailed);
     EXPECT_EQ(report.results[0].error, JobErrorCode::kTimeout);
-    // Timeouts are transient: the budget was retried once.
-    EXPECT_EQ(report.results[0].attempts, 2);
+    // A step count is a pure function of the job spec, so a retry
+    // would exhaust the same budget again: no second attempt.
+    EXPECT_EQ(report.results[0].attempts, 1);
+    EXPECT_NE(report.results[0].error_message.find("step budget"),
+              std::string::npos);
 }
 
 TEST(JobEngine, StalledWorkerTripsWallDeadline)
 {
     EngineConfig cfg;
-    cfg.max_attempts = 1;
+    cfg.max_attempts = 2;
+    cfg.backoff_base_ms = 0;
     cfg.watchdog_wall_ms = 5;
     cfg.faults.enabled = true;
     cfg.faults.seed = 3;
     cfg.faults.stall_rate = 1.0;  // every attempt stalls
     cfg.faults.stall_ms = 50;
     JobEngine engine(cfg);
-    const auto report = engine.run(
-        trivial_jobs(1), [](const JobSpec &spec, JobContext &ctx) {
+    auto jobs = trivial_jobs(1);
+    jobs[0].watchdog_steps = 1'000'000;  // armed, never reached
+    const auto report =
+        engine.run(jobs, [](const JobSpec &spec, JobContext &ctx) {
             for (std::uint64_t steps = 1; steps <= 8192; ++steps) {
                 ctx.hook->on_tick(steps);
             }
@@ -233,6 +239,11 @@ TEST(JobEngine, StalledWorkerTripsWallDeadline)
         });
     EXPECT_EQ(report.results[0].status, JobStatus::kFailed);
     EXPECT_EQ(report.results[0].error, JobErrorCode::kTimeout);
+    // Unlike a step budget, a wall deadline depends on the host: the
+    // stalled job is retried until its attempts run out.
+    EXPECT_EQ(report.results[0].attempts, 2);
+    EXPECT_NE(report.results[0].error_message.find("wall deadline"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@
 #include "filter/adaptive_threshold.h"
 #include "filter/features.h"
 #include "filter/moka.h"
-#include "filter/perceptron.h"
 #include "filter/policies.h"
 #include "filter/system_features.h"
 #include "filter/update_buffer.h"
@@ -24,13 +23,13 @@
 #include "prefetch/ipcp.h"
 #include "prefetch/spp.h"
 #include "prefetch/stride.h"
-#include "prefetch/throttle.h"
 #include "sim/jobs/job.h"
 #include "sim/multicore.h"
 #include "sim/runner.h"
 #include "snapshot/cache.h"
 #include "snapshot/format.h"
 #include "snapshot/snapshot.h"
+#include "telemetry/gate.h"
 #include "trace/suites.h"
 #include "vmem/page_table.h"
 #include "vmem/tlb.h"
@@ -134,14 +133,16 @@ with_version(std::string bytes, std::uint32_t version)
 TEST(SnapshotFormat, RejectsVersionOne)
 {
     // Version 1 stored 64-bit LRU timestamps where later versions
-    // store one recency rank per way, and version 2 also stored the
-    // audit cadence; the layouts cannot be told apart by length alone,
-    // so the version field must reject both.
-    ASSERT_EQ(kSnapshotVersion, 3u);
-    EXPECT_EQ(reject_kind(with_version(tiny_snapshot(), 1)),
-              SnapshotErrorKind::kBadVersion);
-    EXPECT_EQ(reject_kind(with_version(tiny_snapshot(), 2)),
-              SnapshotErrorKind::kBadVersion);
+    // store one recency rank per way, version 2 also stored the audit
+    // cadence and version 3 the filter's telemetry counters; the
+    // layouts cannot be told apart by length alone, so the version
+    // field must reject all three.
+    ASSERT_EQ(kSnapshotVersion, 4u);
+    for (std::uint32_t old = 1; old < kSnapshotVersion; ++old) {
+        EXPECT_EQ(reject_kind(with_version(tiny_snapshot(), old)),
+                  SnapshotErrorKind::kBadVersion)
+            << "version " << old;
+    }
 }
 
 TEST(SnapshotFormat, RejectsTruncation)
@@ -396,23 +397,6 @@ TEST(SnapshotComponents, Spp)
     expect_prefetcher_round_trip<Spp, SppConfig>();
 }
 
-TEST(SnapshotComponents, Throttle)
-{
-    ThrottleConfig cfg;
-    ThrottledPrefetcher driven(std::make_unique<Bop>(BopConfig{}), cfg);
-    drive_prefetcher(driven);
-    ThrottledPrefetcher fresh(std::make_unique<Bop>(BopConfig{}), cfg);
-    SnapshotWriter w(0);
-    driven.save_state(w);
-    const std::string bytes = w.finish();
-    SnapshotReader r(bytes);
-    fresh.restore_state(r);
-    r.finish();
-    SnapshotWriter w2(0);
-    fresh.save_state(w2);
-    EXPECT_EQ(w2.finish(), bytes);
-}
-
 TEST(SnapshotComponents, UpdateBuffer)
 {
     VirtUpdateBuffer driven(32);
@@ -433,23 +417,6 @@ TEST(SnapshotComponents, UpdateBuffer)
     VirtDecisionRecord a, b;
     EXPECT_EQ(driven.take(VirtAddr{99 * kBlockSize}, a),
               fresh.take(VirtAddr{99 * kBlockSize}, b));
-}
-
-TEST(SnapshotComponents, WeightTable)
-{
-    WeightTable driven(256, 5);
-    for (std::uint64_t v = 0; v < 600; ++v) {
-        const std::uint32_t idx = driven.index_of(v * 2654435761u);
-        if (v % 3 == 0) {
-            driven.decrement(idx);
-        } else {
-            driven.increment(idx);
-        }
-    }
-    WeightTable fresh(256, 5);
-    expect_round_trip(driven, fresh);
-    EXPECT_EQ(fresh.weight_at(driven.index_of(12345)),
-              driven.weight_at(driven.index_of(12345)));
 }
 
 TEST(SnapshotComponents, AdaptiveThreshold)
@@ -585,6 +552,30 @@ TEST(SnapshotMachine, RestoredMeasureMatchesStraightThrough)
     EXPECT_EQ(a.branch_mispredicts, b.branch_mispredicts);
 }
 
+TEST(SnapshotMachine, ArmedAndDisarmedWarmupsSaveIdenticalBytes)
+{
+    // The telemetry gate moves only observation counters; a warmup
+    // snapshot shared through --snapshot-dir must not depend on
+    // whether the process that produced it had telemetry armed.
+    const MachineConfig cfg = snap_config();
+    const WorkloadSpec spec = pick(Family::kCsr);
+    const bool was_enabled = telemetry_enabled();
+    std::string bytes[2];
+    for (int armed = 0; armed < 2; ++armed) {
+        set_telemetry_enabled(armed == 1);
+        Machine m = build_machine(cfg, spec);
+        m.run(30'000);
+        bytes[armed] = m.save_snapshot();
+        if (armed == 1 && telemetry_enabled()) {
+            // Guard against a vacuous pass: the armed run did count.
+            EXPECT_GT(m.core(0).filter()->telemetry().decisions, 0u);
+        }
+    }
+    set_telemetry_enabled(was_enabled);
+    EXPECT_EQ(bytes[0].size(), bytes[1].size());
+    EXPECT_TRUE(bytes[0] == bytes[1]);  // not EXPECT_EQ: ~4 MB to print
+}
+
 TEST(SnapshotMachine, ConfigMismatchRejected)
 {
     const WorkloadSpec spec = pick(Family::kStream);
@@ -615,25 +606,27 @@ TEST(SnapshotCacheTest, MissProducesThenDiskHit)
     };
     {
         SnapshotCache cache(dir);
-        SnapshotCache::FetchOutcome out;
-        const SnapshotBlob blob = cache.fetch(1, produce, &out);
+        const SnapshotCache::Stats before = cache.stats();
+        const SnapshotBlob blob = cache.fetch(1, produce);
         ASSERT_NE(blob, nullptr);
-        EXPECT_FALSE(out.hit);
-        EXPECT_TRUE(out.saved);
+        const SnapshotCache::Stats d = cache.stats() - before;
+        EXPECT_EQ(d.hits, 0u);
+        EXPECT_EQ(d.misses, 1u);
+        EXPECT_EQ(d.saves, 1u);
         EXPECT_EQ(produced, 1);
         EXPECT_TRUE(std::filesystem::exists(cache.path_for(1)));
-        EXPECT_EQ(cache.stats().misses, 1u);
-        EXPECT_EQ(cache.stats().saves, 1u);
     }
     {
         // New cache instance: must hit from disk, not memory.
         SnapshotCache cache(dir);
-        SnapshotCache::FetchOutcome out;
-        const SnapshotBlob blob = cache.fetch(1, produce, &out);
+        const SnapshotCache::Stats before = cache.stats();
+        const SnapshotBlob blob = cache.fetch(1, produce);
         ASSERT_NE(blob, nullptr);
-        EXPECT_TRUE(out.hit);
+        const SnapshotCache::Stats d = cache.stats() - before;
+        EXPECT_EQ(d.hits, 1u);
+        EXPECT_EQ(d.misses, 0u);
+        EXPECT_EQ(d.saves, 0u);
         EXPECT_EQ(produced, 1);  // not produced again
-        EXPECT_EQ(cache.stats().hits, 1u);
         EXPECT_EQ(*blob, tiny_snapshot());
     }
 }
@@ -781,6 +774,53 @@ TEST(SnapshotRunner, VersionOneFileCountsInvalidAndRunsCold)
     const std::string republished((std::istreambuf_iterator<char>(is)),
                                   std::istreambuf_iterator<char>());
     EXPECT_EQ(republished, bytes);
+}
+
+TEST(SnapshotRunner, RejectedRestoreCountsInvalidAndRunsCold)
+{
+    // A structurally valid file the machine rejects on restore (here:
+    // saved under another scheme, as a key collision would leave it)
+    // is counted in Stats::invalid and the run falls back cold.
+    const MachineConfig cfg = snap_config();
+    const WorkloadSpec spec = pick(Family::kStream);
+    RunConfig run;
+    run.warmup_insts = 10'000;
+    run.measure_insts = 20'000;
+    const WorkloadFactory factory = [&spec]() {
+        return make_workload(spec);
+    };
+    const RunMetrics cold =
+        run_single_workload(cfg, make_workload(spec), run, nullptr);
+
+    const std::string dir = temp_dir("rejected");
+    {
+        SnapshotCache cache(dir);
+        (void)run_single_workload_snapshot(cfg, factory, run, nullptr,
+                                           cache, /*warmup_key=*/9);
+    }
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        files.push_back(entry.path());
+    }
+    ASSERT_EQ(files.size(), 1u);
+    {
+        Machine other = build_machine(
+            make_config(L1dPrefetcherKind::kBerti, scheme_discard()), spec);
+        other.run(run.warmup_insts);
+        std::ofstream os(files[0], std::ios::binary | std::ios::trunc);
+        os << other.save_snapshot();
+    }
+
+    SnapshotCache cache(dir);
+    const RunMetrics warm = run_single_workload_snapshot(
+        cfg, factory, run, nullptr, cache, /*warmup_key=*/9);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().invalid, 1u);
+    EXPECT_EQ(warm.instructions, cold.instructions);
+    EXPECT_EQ(warm.cycles, cold.cycles);
+    EXPECT_EQ(warm.l1d.misses, cold.l1d.misses);
+    EXPECT_EQ(warm.llc.misses, cold.llc.misses);
+    EXPECT_EQ(warm.pgc_issued, cold.pgc_issued);
 }
 
 TEST(SnapshotRunner, DifferentSchemesGetDifferentWarmupKeys)

@@ -73,12 +73,12 @@ best_of() { # args: label, extra cli flags...
 echo "== perf smoke: $WORKLOAD/$SCHEME, $INSTS insts, best of $REPS =="
 
 # Telemetry disarmed: the subsystem is compiled in but the runtime
-# gate stays off (no env var, no flags).
-unset MOKASIM_TELEMETRY
+# gate stays off (no flags).
 off_ns=$(best_of "telemetry-off") || exit 1
 
-# Telemetry armed: runtime gate on, epoch timeseries + trace events.
-on_ns=$(MOKASIM_TELEMETRY=1 best_of "telemetry-on" \
+# Telemetry armed: the flags arm the runtime gate, epoch timeseries +
+# trace events.
+on_ns=$(best_of "telemetry-on" \
     --telemetry-dir "$WORK/tele" \
     --trace-events "$WORK/tele/smoke.trace.json") || exit 1
 

@@ -7,9 +7,13 @@
 #      published (the cache must report >= 1 save);
 #   3. run it a third time against the now-populated directory: every
 #      warmup must be served from the cache (>= 1 hit, 0 misses);
-#   4. both snapshot runs' CSVs must be byte-identical to the cold
-#      reference -- restoring a warmed machine may not perturb the
-#      measured region by even one bit.
+#   4. fill a second, empty directory from a sweep with telemetry
+#      armed (--telemetry-dir): its snapshot files must be
+#      byte-identical to the disarmed run's, since the warmup key
+#      ignores the telemetry gate and the directory may be shared;
+#   5. all three snapshot runs' CSVs must be byte-identical to the
+#      cold reference -- restoring a warmed machine may not perturb
+#      the measured region by even one bit.
 #
 # Usage: ci_snapshot_reuse.sh <path-to-sweep_tool> [workdir]
 set -u
@@ -71,8 +75,38 @@ if [ -n "$misses" ] && [ "$misses" -ne 0 ]; then
     exit 1
 fi
 
+echo "== armed snapshot sweep (telemetry on, second empty cache) =="
+"$SWEEP" "${ARGS[@]}" --snapshot-dir "$WORK/snaps-armed" \
+    --telemetry-dir "$WORK/tele" \
+    > "$WORK/armed.csv" 2> "$WORK/armed.err" || {
+    echo "armed snapshot sweep failed:" >&2
+    cat "$WORK/armed.err" >&2
+    exit 1
+}
+grep '^snapshot cache:' "$WORK/armed.err"
+if ! ls "$WORK/tele"/*.epochs.csv > /dev/null 2>&1; then
+    echo "FAIL: armed run wrote no epoch timeseries (gate not armed?)" >&2
+    exit 1
+fi
+
+echo "== verify (armed snapshots byte-identical to disarmed) =="
+(cd "$WORK/snaps" && ls snap-*.bin) > "$WORK/snaps.list"
+(cd "$WORK/snaps-armed" && ls snap-*.bin) > "$WORK/armed.list"
+if [ ! -s "$WORK/snaps.list" ] ||
+   ! diff -q "$WORK/snaps.list" "$WORK/armed.list" > /dev/null; then
+    echo "FAIL: armed and disarmed runs published different key sets" >&2
+    diff "$WORK/snaps.list" "$WORK/armed.list" | head -20 >&2
+    exit 1
+fi
+while read -r f; do
+    if ! cmp "$WORK/snaps/$f" "$WORK/snaps-armed/$f"; then
+        echo "FAIL: $f differs between armed and disarmed warmups" >&2
+        exit 1
+    fi
+done < "$WORK/snaps.list"
+
 echo "== verify (byte-for-byte CSV identity) =="
-for run in first second; do
+for run in first second armed; do
     if ! diff -q "$WORK/ref.csv" "$WORK/$run.csv"; then
         echo "FAIL: $run snapshot CSV differs from the cold reference" >&2
         diff "$WORK/ref.csv" "$WORK/$run.csv" | head -20 >&2
@@ -80,4 +114,5 @@ for run in first second; do
     fi
 done
 echo "PASS: snapshot-reuse sweeps reproduced the cold CSV byte-for-byte" \
-     "($saves snapshot(s) published, $hits warm hit(s))"
+     "($saves snapshot(s) published, $hits warm hit(s)," \
+     "$(wc -l < "$WORK/snaps.list") armed snapshot(s) identical)"
