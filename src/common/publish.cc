@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 namespace moka {
 
@@ -40,17 +39,19 @@ publish_file(const std::string &path, const std::string &bytes,
 bool
 read_file(const std::string &path, std::string &out)
 {
-    std::ifstream is(path, std::ios::binary);
+    // Sized read straight into @p out: snapshot files run to a
+    // megabyte, and a stringstream would copy them twice.
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
     if (!is) {
         return false;
     }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (!is.good() && !is.eof()) {
+    const std::streamoff size = is.tellg();
+    if (size < 0 || !is.seekg(0)) {
         return false;
     }
-    out = buf.str();
-    return true;
+    out.resize(static_cast<std::size_t>(size));
+    is.read(out.data(), static_cast<std::streamsize>(size));
+    return is.gcount() == static_cast<std::streamsize>(size);
 }
 
 }  // namespace moka

@@ -835,6 +835,8 @@ CoreComplex::save_state(SnapshotWriter &w) const
     w.put_u64(epoch_start_cycle_);
     w.put_u64(epoch_start_insts_);
     put_system_snapshot(w, last_snapshot_);
+    w.begin_section("core.workload");
+    workload_->save_state(w);
 }
 
 void
@@ -882,11 +884,8 @@ CoreComplex::restore_state(SnapshotReader &r)
     epoch_start_cycle_ = r.get_u64();
     epoch_start_insts_ = r.get_u64();
     get_system_snapshot(r, last_snapshot_);
-    // Fast-forward the fresh workload to the snapshot position:
-    // step() consumes exactly one workload instruction per
-    // retirement, so the retired count IS the replay position.
-    // Seekable workloads (trace files) re-position in O(1).
-    workload_->skip(core_.retired());
+    r.begin_section("core.workload");
+    workload_->restore_state(r);
 }
 
 std::string
@@ -915,6 +914,19 @@ void
 Machine::restore_snapshot(const std::string &bytes)
 {
     SnapshotReader r(bytes);
+    restore_from(r);
+}
+
+void
+Machine::restore_snapshot(const SnapshotImage &image)
+{
+    SnapshotReader r(image);
+    restore_from(r);
+}
+
+void
+Machine::restore_from(SnapshotReader &r)
+{
     const std::uint64_t want = config_fingerprint(cfg_, cores_.size());
     if (r.fingerprint() != want) {
         throw SnapshotError(SnapshotErrorKind::kConfigMismatch,

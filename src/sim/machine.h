@@ -30,6 +30,7 @@ namespace moka {
 
 struct AuditAccess;
 class AuditReport;
+class SnapshotImage;
 class SnapshotReader;
 class SnapshotWriter;
 
@@ -167,11 +168,9 @@ class CoreComplex : public CacheListener
     SIM_COLD void audit(AuditReport &report) const;
 
     /**
-     * Serialize every architectural structure in this core complex.
-     * The workload itself is not serialized: its replay position is
-     * the retired-instruction count, and restore_state fast-forwards
-     * a freshly built workload to it (CoreComplex::step consumes
-     * exactly one workload instruction per retirement).
+     * Serialize every architectural structure in this core complex,
+     * plus the workload's stream position ("core.workload"), so a
+     * restore resumes the stream without replaying the warmup.
      */
     SIM_COLD void save_state(SnapshotWriter &w) const;
     /** Inverse of save_state on a same-config instance. */
@@ -218,7 +217,6 @@ class CoreComplex : public CacheListener
     BranchPredictor bp_;
     Core core_;
     Frontend frontend_;
-    // LINT_SNAPSHOT_OK: replayed, fast-forwarded to core_.retired()
     WorkloadPtr workload_;
 
     PrefetcherPtr l1d_pf_;
@@ -374,14 +372,24 @@ class Machine
     /**
      * Restore a snapshot produced by save_snapshot() on an identical
      * configuration. The machine must be freshly built (workloads
-     * unconsumed); they are fast-forwarded to the snapshot position.
+     * unconsumed); each workload resumes at its saved position.
+     * Raw bytes are fully validated first (magic, version, bounds,
+     * every section sum).
      *
      * @throws SnapshotError kConfigMismatch when the fingerprint
      *         differs, or the corruption taxonomy of SnapshotReader.
      */
     SIM_COLD void restore_snapshot(const std::string &bytes);
 
+    /**
+     * Restore from an image validated when it entered the process
+     * (SnapshotCache hands these out): no copy, no re-check.
+     */
+    SIM_COLD void restore_snapshot(const SnapshotImage &image);
+
   private:
+    SIM_COLD void restore_from(SnapshotReader &r);
+
     MachineConfig cfg_;
     std::unique_ptr<Dram> dram_;
     std::unique_ptr<Cache> llc_;

@@ -91,22 +91,25 @@ run_single_workload_snapshot(const MachineConfig &cfg,
         std::vector<WorkloadPtr> w;
         w.push_back(make());
         Machine machine(cfg, std::move(w));
-        ScopedRunTelemetry scoped(telemetry, &machine, label, trace_pid);
-        // Chained hook is scoped to this block: the cold-fallback
-        // path below must chain the *original* hook afresh.
-        RunTickHook *run_hook = scoped.hook(hook);
         bool restored = false;
-        try {
-            scoped.span("snapshot:restore",
-                        [&] { machine.restore_snapshot(*blob); });
-            restored = true;
-        } catch (const SnapshotError &) {
-            // Key collision or torn blob that survived the cache's
-            // structural probe: classified (kSnapshotInvalid family),
-            // counted, and the run falls back to a cold warmup below.
-            cache.count_rejected();
-        }
+        trace_phase(telemetry, trace_pid, "snapshot:restore", [&] {
+            try {
+                machine.restore_snapshot(*blob);
+                restored = true;
+            } catch (const SnapshotError &) {
+                // Key collision or torn blob that survived the
+                // cache's structural probe: classified
+                // (kSnapshotInvalid family), counted, and the run
+                // falls back to a cold warmup below.
+                cache.count_rejected();
+            }
+        });
         if (restored) {
+            // Sampling starts from the restored state, so the first
+            // epoch row covers measured instructions only.
+            ScopedRunTelemetry scoped(telemetry, &machine, label,
+                                      trace_pid);
+            RunTickHook *run_hook = scoped.hook(hook);
             machine.start_measurement();
             scoped.span("measure",
                         [&] { machine.run(run.measure_insts, run_hook); });

@@ -61,11 +61,11 @@ SnapshotCache::try_load(std::uint64_t key)
         return nullptr;
     }
     try {
-        // Full structural validation: magic, version, bounds and
-        // every section checksum. The config fingerprint is checked
-        // later by Machine::restore_snapshot.
-        SnapshotReader probe(bytes);
-        (void)probe;
+        // Full validation, the only one these bytes get: magic,
+        // version, bounds and every section checksum. The config
+        // fingerprint is checked by Machine::restore_snapshot.
+        return std::make_shared<const SnapshotImage>(
+            SnapshotImage::from_disk(std::move(bytes)));
     } catch (const SnapshotError &) {
         // Corrupt published file (torn copy, disk fault): drop it and
         // fall back to a cold warmup. Never crash, never restore.
@@ -73,7 +73,6 @@ SnapshotCache::try_load(std::uint64_t key)
         std::remove(path.c_str());
         return nullptr;
     }
-    return std::make_shared<const std::string>(std::move(bytes));
 }
 
 SnapshotBlob
@@ -88,8 +87,9 @@ SnapshotCache::load_or_produce(std::uint64_t key, const Producer &produce)
     // and publish: a benign duplicate, since every copy is identical
     // and readers only ever see complete files.
     misses_.fetch_add(1, std::memory_order_relaxed);
-    auto blob = std::make_shared<const std::string>(produce());
-    if (publish_file(path_for(key), *blob)) {
+    auto blob = std::make_shared<const SnapshotImage>(
+        SnapshotImage::from_writer(produce()));
+    if (publish_file(path_for(key), blob->bytes())) {
         saves_.fetch_add(1, std::memory_order_relaxed);
     }
     return blob;  // reused in-process even if unpublished

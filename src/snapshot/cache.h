@@ -6,6 +6,12 @@
  * memoized future. Across processes the publish is write-temp+rename
  * and nothing else: processes that miss the same key at once each
  * warm up and publish an identical copy (a benign duplicate warmup).
+ *
+ * Blobs are validated once, on entry: a file read from the directory
+ * is fully checked (magic, version, bounds, every section sum), while
+ * bytes the producer just saved in this process are only indexed.
+ * Either way the cache hands out a SnapshotImage whose section table
+ * Machine::restore_snapshot reuses.
  */
 #ifndef MOKASIM_SNAPSHOT_CACHE_H
 #define MOKASIM_SNAPSHOT_CACHE_H
@@ -20,11 +26,12 @@
 
 #include "common/hot_path.h"
 #include "common/thread_annotations.h"
+#include "snapshot/format.h"
 
 namespace moka {
 
-/** Shared snapshot bytes (immutable once published). */
-using SnapshotBlob = std::shared_ptr<const std::string>;
+/** Shared, validated snapshot image (immutable once published). */
+using SnapshotBlob = std::shared_ptr<const SnapshotImage>;
 
 /** See file comment. */
 class SnapshotCache
@@ -48,7 +55,10 @@ class SnapshotCache
         }
     };
 
-    /** Produces snapshot bytes by running the warmup. */
+    /**
+     * Produces snapshot bytes by running the warmup and returning
+     * Machine::save_snapshot(); trusted, so its sums are not re-hashed.
+     */
     using Producer = std::function<std::string()>;
 
     /**

@@ -1,6 +1,6 @@
 #include "snapshot/format.h"
 
-#include <cstring>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/hashing.h"
@@ -12,9 +12,14 @@ namespace {
 void
 append_le(std::string &out, std::uint64_t v, unsigned n)
 {
-    for (unsigned i = 0; i < n; ++i) {
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
+    out.append(reinterpret_cast<const char *>(&v), n);
+}
+
+/** Little-endian overwrite of @p n bytes at @p at. */
+void
+patch_le(std::string &out, std::size_t at, std::uint64_t v, unsigned n)
+{
+    std::memcpy(out.data() + at, &v, n);
 }
 
 /** Little-endian read of @p n bytes at @p data. */
@@ -22,12 +27,85 @@ std::uint64_t
 read_le(const char *data, unsigned n)
 {
     std::uint64_t v = 0;
-    for (unsigned i = 0; i < n; ++i) {
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(data[i]))
-             << (8 * i);
-    }
+    std::memcpy(&v, data, n);
     return v;
+}
+
+// Header offsets: magic, then version u32, fingerprint u64, count u32.
+constexpr std::size_t kCountAt = sizeof(kSnapshotMagic) + 4 + 8;
+
+/**
+ * Structural parse of a container: magic, version and every bound.
+ * Section sums are verified separately (verify_sums).
+ */
+SnapshotLayout
+parse_layout(std::string_view bytes)
+{
+    std::size_t at = 0;
+    const auto take = [&](unsigned n) {
+        if (bytes.size() - at < n) {
+            throw SnapshotError(SnapshotErrorKind::kTruncated,
+                                "header ends early");
+        }
+        const std::uint64_t v = read_le(bytes.data() + at, n);
+        at += n;
+        return v;
+    };
+    if (bytes.size() < sizeof(kSnapshotMagic) ||
+        std::memcmp(bytes.data(), kSnapshotMagic,
+                    sizeof(kSnapshotMagic)) != 0) {
+        throw SnapshotError(SnapshotErrorKind::kBadMagic,
+                            "missing MOKASNAP magic");
+    }
+    at = sizeof(kSnapshotMagic);
+    const std::uint64_t version = take(4);
+    if (version != kSnapshotVersion) {
+        throw SnapshotError(SnapshotErrorKind::kBadVersion,
+                            "format version " + std::to_string(version) +
+                                " (want " +
+                                std::to_string(kSnapshotVersion) + ")");
+    }
+    SnapshotLayout layout;
+    layout.fingerprint = take(8);
+    const std::uint64_t count = take(4);
+    for (std::uint64_t i = 0; i < count; ++i) {
+        SnapshotLayout::Section s;
+        const std::uint64_t name_len = take(4);
+        if (bytes.size() - at < name_len) {
+            throw SnapshotError(SnapshotErrorKind::kTruncated,
+                                "section name ends early");
+        }
+        s.name.assign(bytes.data() + at, name_len);
+        at += name_len;
+        s.size = take(8);
+        (void)take(8);  // payload sum: verify_sums
+        if (bytes.size() - at < s.size) {
+            throw SnapshotError(SnapshotErrorKind::kTruncated,
+                                "section '" + s.name + "' ends early");
+        }
+        s.begin = at;
+        at += s.size;
+        layout.sections.push_back(std::move(s));
+    }
+    if (at != bytes.size()) {
+        throw SnapshotError(SnapshotErrorKind::kMalformed,
+                            "trailing bytes after the last section");
+    }
+    return layout;
+}
+
+/** Check every section's FNV-1a sum (stored just before its payload). */
+void
+verify_sums(std::string_view bytes, const SnapshotLayout &layout)
+{
+    for (const SnapshotLayout::Section &s : layout.sections) {
+        const std::uint64_t sum = read_le(bytes.data() + s.begin - 8, 8);
+        if (fnv1a_64(bytes.data() + s.begin, s.size) != sum) {
+            throw SnapshotError(SnapshotErrorKind::kChecksum,
+                                "section '" + s.name +
+                                    "' fails its FNV-1a sum");
+        }
+    }
 }
 
 }  // namespace
@@ -55,62 +133,45 @@ SnapshotError::SnapshotError(SnapshotErrorKind kind,
 }
 
 SnapshotWriter::SnapshotWriter(std::uint64_t fingerprint)
-    : fingerprint_(fingerprint)
+    : out_(kSnapshotMagic, sizeof(kSnapshotMagic))
 {
+    append_le(out_, kSnapshotVersion, 4);
+    append_le(out_, fingerprint, 8);
+    append_le(out_, 0, 4);  // section count, patched by finish()
+}
+
+void
+SnapshotWriter::close_section()
+{
+    if (!open_) {
+        return;
+    }
+    const std::size_t begin = header_at_ + 16;
+    const std::size_t size = out_.size() - begin;
+    patch_le(out_, header_at_, size, 8);
+    patch_le(out_, header_at_ + 8, fnv1a_64(out_.data() + begin, size), 8);
+    open_ = false;
 }
 
 void
 SnapshotWriter::begin_section(const std::string &name)
 {
     SIM_REQUIRE(!name.empty(), "snapshot sections need a name");
-    sections_.push_back(Section{name, {}});
+    close_section();
+    append_le(out_, name.size(), 4);
+    out_ += name;
+    header_at_ = out_.size();
+    append_le(out_, 0, 8);  // payload length, patched on close
+    append_le(out_, 0, 8);  // payload sum, patched on close
+    ++sections_;
     open_ = true;
 }
 
 void
-SnapshotWriter::raw(const void *data, std::size_t n)
+SnapshotWriter::put_bytes(const void *data, std::size_t n)
 {
     SIM_REQUIRE(open_, "snapshot write outside a section");
-    sections_.back().payload.append(static_cast<const char *>(data), n);
-}
-
-void
-SnapshotWriter::put_u8(std::uint8_t v)
-{
-    raw(&v, 1);
-}
-
-void
-SnapshotWriter::put_u16(std::uint16_t v)
-{
-    SIM_REQUIRE(open_, "snapshot write outside a section");
-    append_le(sections_.back().payload, v, 2);
-}
-
-void
-SnapshotWriter::put_u32(std::uint32_t v)
-{
-    SIM_REQUIRE(open_, "snapshot write outside a section");
-    append_le(sections_.back().payload, v, 4);
-}
-
-void
-SnapshotWriter::put_u64(std::uint64_t v)
-{
-    SIM_REQUIRE(open_, "snapshot write outside a section");
-    append_le(sections_.back().payload, v, 8);
-}
-
-void
-SnapshotWriter::put_i64(std::int64_t v)
-{
-    put_u64(static_cast<std::uint64_t>(v));
-}
-
-void
-SnapshotWriter::put_bool(bool v)
-{
-    put_u8(v ? 1 : 0);
+    out_.append(static_cast<const char *>(data), n);
 }
 
 void
@@ -126,168 +187,70 @@ SnapshotWriter::put_f64(double v)
 std::string
 SnapshotWriter::finish()
 {
-    std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
-    append_le(out, kSnapshotVersion, 4);
-    append_le(out, fingerprint_, 8);
-    append_le(out, sections_.size(), 4);
-    for (const Section &s : sections_) {
-        append_le(out, s.name.size(), 4);
-        out += s.name;
-        append_le(out, s.payload.size(), 8);
-        append_le(out, fnv1a_64(s.payload.data(), s.payload.size()), 8);
-        out += s.payload;
-    }
-    open_ = false;
-    return out;
+    close_section();
+    patch_le(out_, kCountAt, sections_, 4);
+    return std::move(out_);
 }
 
-SnapshotReader::SnapshotReader(std::string bytes)
-    : bytes_(std::move(bytes))
+SnapshotImage
+SnapshotImage::from_disk(std::string bytes)
 {
-    std::size_t at = 0;
-    const auto take = [&](unsigned n) {
-        if (bytes_.size() - at < n) {
-            throw SnapshotError(SnapshotErrorKind::kTruncated,
-                                "header ends early");
-        }
-        const std::uint64_t v = read_le(bytes_.data() + at, n);
-        at += n;
-        return v;
-    };
-    if (bytes_.size() < sizeof(kSnapshotMagic) ||
-        std::memcmp(bytes_.data(), kSnapshotMagic,
-                    sizeof(kSnapshotMagic)) != 0) {
-        throw SnapshotError(SnapshotErrorKind::kBadMagic,
-                            "missing MOKASNAP magic");
-    }
-    at = sizeof(kSnapshotMagic);
-    const std::uint64_t version = take(4);
-    if (version != kSnapshotVersion) {
-        throw SnapshotError(SnapshotErrorKind::kBadVersion,
-                            "format version " + std::to_string(version) +
-                                " (want " +
-                                std::to_string(kSnapshotVersion) + ")");
-    }
-    fingerprint_ = take(8);
-    const std::uint64_t count = take(4);
-    sections_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Section s;
-        const std::uint64_t name_len = take(4);
-        if (bytes_.size() - at < name_len) {
-            throw SnapshotError(SnapshotErrorKind::kTruncated,
-                                "section name ends early");
-        }
-        s.name.assign(bytes_.data() + at, name_len);
-        at += name_len;
-        s.size = take(8);
-        const std::uint64_t sum = take(8);
-        if (bytes_.size() - at < s.size) {
-            throw SnapshotError(SnapshotErrorKind::kTruncated,
-                                "section '" + s.name + "' ends early");
-        }
-        s.begin = at;
-        at += s.size;
-        if (fnv1a_64(bytes_.data() + s.begin, s.size) != sum) {
-            throw SnapshotError(SnapshotErrorKind::kChecksum,
-                                "section '" + s.name +
-                                    "' fails its FNV-1a sum");
-        }
-        sections_.push_back(std::move(s));
-    }
-    if (at != bytes_.size()) {
-        throw SnapshotError(SnapshotErrorKind::kMalformed,
-                            "trailing bytes after the last section");
-    }
+    SnapshotLayout layout = parse_layout(bytes);
+    verify_sums(bytes, layout);
+    return SnapshotImage(std::move(bytes), std::move(layout));
+}
+
+SnapshotImage
+SnapshotImage::from_writer(std::string bytes)
+{
+    SnapshotLayout layout = parse_layout(bytes);
+    return SnapshotImage(std::move(bytes), std::move(layout));
+}
+
+SnapshotReader::SnapshotReader(const std::string &bytes)
+    : data_(bytes.data()), own_(parse_layout(bytes)), layout_(&own_)
+{
+    verify_sums(bytes, own_);
+}
+
+SnapshotReader::SnapshotReader(const SnapshotImage &image)
+    : data_(image.bytes_.data()), layout_(&image.layout_)
+{
 }
 
 void
 SnapshotReader::begin_section(const std::string &name)
 {
-    if (section_ > 0) {
-        const Section &prev = sections_[section_ - 1];
-        if (cursor_ != prev.size) {
-            throw SnapshotError(SnapshotErrorKind::kMalformed,
-                                "section '" + prev.name +
-                                    "' left partially consumed");
-        }
+    const std::vector<SnapshotLayout::Section> &sections = layout_->sections;
+    if (section_ > 0 && cursor_ != open_size_) {
+        throw SnapshotError(SnapshotErrorKind::kMalformed,
+                            "section '" + sections[section_ - 1].name +
+                                "' left partially consumed");
     }
-    if (section_ >= sections_.size() ||
-        sections_[section_].name != name) {
+    if (section_ >= sections.size() || sections[section_].name != name) {
         throw SnapshotError(
             SnapshotErrorKind::kMalformed,
             "expected section '" + name + "', found '" +
-                (section_ < sections_.size() ? sections_[section_].name
-                                             : std::string("<end>")) +
+                (section_ < sections.size() ? sections[section_].name
+                                            : std::string("<end>")) +
                 "'");
     }
+    open_begin_ = sections[section_].begin;
+    open_size_ = sections[section_].size;
     ++section_;
     cursor_ = 0;
 }
 
 void
-SnapshotReader::need(std::size_t n) const
+SnapshotReader::fail_need() const
 {
     if (section_ == 0) {
         throw SnapshotError(SnapshotErrorKind::kMalformed,
                             "read outside any section");
     }
-    if (sections_[section_ - 1].size - cursor_ < n) {
-        throw SnapshotError(SnapshotErrorKind::kMalformed,
-                            "section '" + sections_[section_ - 1].name +
-                                "' over-consumed");
-    }
-}
-
-std::uint8_t
-SnapshotReader::get_u8()
-{
-    need(1);
-    const Section &s = sections_[section_ - 1];
-    return static_cast<std::uint8_t>(
-        static_cast<unsigned char>(bytes_[s.begin + cursor_++]));
-}
-
-std::uint16_t
-SnapshotReader::get_u16()
-{
-    need(2);
-    const Section &s = sections_[section_ - 1];
-    const std::uint64_t v = read_le(bytes_.data() + s.begin + cursor_, 2);
-    cursor_ += 2;
-    return static_cast<std::uint16_t>(v);
-}
-
-std::uint32_t
-SnapshotReader::get_u32()
-{
-    need(4);
-    const Section &s = sections_[section_ - 1];
-    const std::uint64_t v = read_le(bytes_.data() + s.begin + cursor_, 4);
-    cursor_ += 4;
-    return static_cast<std::uint32_t>(v);
-}
-
-std::uint64_t
-SnapshotReader::get_u64()
-{
-    need(8);
-    const Section &s = sections_[section_ - 1];
-    const std::uint64_t v = read_le(bytes_.data() + s.begin + cursor_, 8);
-    cursor_ += 8;
-    return v;
-}
-
-std::int64_t
-SnapshotReader::get_i64()
-{
-    return static_cast<std::int64_t>(get_u64());
-}
-
-bool
-SnapshotReader::get_bool()
-{
-    return get_u8() != 0;
+    throw SnapshotError(SnapshotErrorKind::kMalformed,
+                        "section '" + layout_->sections[section_ - 1].name +
+                            "' over-consumed");
 }
 
 double
@@ -302,11 +265,11 @@ SnapshotReader::get_f64()
 void
 SnapshotReader::finish() const
 {
-    if (section_ != sections_.size()) {
+    if (section_ != layout_->sections.size()) {
         throw SnapshotError(SnapshotErrorKind::kMalformed,
                             "unconsumed sections remain");
     }
-    if (section_ > 0 && cursor_ != sections_[section_ - 1].size) {
+    if (section_ > 0 && cursor_ != open_size_) {
         throw SnapshotError(SnapshotErrorKind::kMalformed,
                             "last section left partially consumed");
     }

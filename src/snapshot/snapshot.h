@@ -18,12 +18,13 @@
  *
  * SnapshotAccess is the narrow friend (mirroring audit/ AuditAccess)
  * through which common/ leaf types with private layout-sensitive
- * state (Rng lanes, FlatAddrMap slot arrays, saturating counters) are
- * copied verbatim.
+ * state (Rng lanes, FlatAddrMap slot placement, saturating counters)
+ * are saved exactly.
  */
 #ifndef MOKASIM_SNAPSHOT_SNAPSHOT_H
 #define MOKASIM_SNAPSHOT_SNAPSHOT_H
 
+#include <algorithm>
 #include <type_traits>
 #include <vector>
 
@@ -73,36 +74,52 @@ get_int(SnapshotReader &r, T &v)
     }
 }
 
-/** Save a vector of integral values (length-prefixed). */
+/**
+ * Read a length prefix for elements of @p width bytes each, rejecting
+ * one the open section cannot hold before anything is allocated.
+ */
+inline std::uint64_t
+get_length(SnapshotReader &r, std::size_t width)
+{
+    const std::uint64_t n = r.get_u64();
+    if (n > r.remaining() / width) {
+        throw SnapshotError(SnapshotErrorKind::kMalformed,
+                            "vector longer than its section");
+    }
+    return n;
+}
+
+/**
+ * Save a vector of integral values (length-prefixed) in one append:
+ * host memory already holds their little-endian words (format.h
+ * asserts a little-endian host).
+ */
 template <typename T>
 inline void
 put_vec(SnapshotWriter &w, const std::vector<T> &v)
 {
+    static_assert(std::is_integral_v<T> || std::is_enum_v<T>,
+                  "put_vec takes integral or enum values");
     w.put_u64(v.size());
-    for (const T &x : v) {
-        put_int(w, x);
-    }
+    w.put_bytes(v.data(), v.size() * sizeof(T));
 }
 
 /**
  * Restore a vector of integral values.  The saved length must match
  * the configured length when the structure is fixed-size; callers
- * that allow growth (FlatAddrMap doubling past its reservation) pass
- * @p fixed_size false.
+ * that allow growth pass @p fixed_size false.
  */
 template <typename T>
 inline void
 get_vec(SnapshotReader &r, std::vector<T> &v, bool fixed_size = true)
 {
-    const std::uint64_t n = r.get_u64();
+    const std::uint64_t n = get_length(r, sizeof(T));
     if (fixed_size && n != v.size()) {
         throw SnapshotError(SnapshotErrorKind::kMalformed,
                             "vector length mismatch");
     }
     v.resize(n);
-    for (T &x : v) {
-        get_int(r, x);
-    }
+    r.get_bytes(v.data(), v.size() * sizeof(T));
 }
 
 /** Save a vector<bool> (length-prefixed, one byte per bit). */
@@ -118,7 +135,7 @@ put_vec(SnapshotWriter &w, const std::vector<bool> &v)
 inline void
 get_vec(SnapshotReader &r, std::vector<bool> &v, bool fixed_size = true)
 {
-    const std::uint64_t n = r.get_u64();
+    const std::uint64_t n = get_length(r, 1);
     if (fixed_size && n != v.size()) {
         throw SnapshotError(SnapshotErrorKind::kMalformed,
                             "vector<bool> length mismatch");
@@ -142,7 +159,7 @@ put_vec_f64(SnapshotWriter &w, const std::vector<double> &v)
 inline void
 get_vec_f64(SnapshotReader &r, std::vector<double> &v)
 {
-    const std::uint64_t n = r.get_u64();
+    const std::uint64_t n = get_length(r, sizeof(double));
     v.resize(n);
     for (double &x : v) {
         x = r.get_f64();
@@ -228,7 +245,7 @@ get_stats(SnapshotReader &r, PrefetchStats &s)
 
 /**
  * Narrow serialization friend for common/ leaf types whose private
- * state must be copied verbatim (layout is behaviour: Rng lanes
+ * state must be saved exactly (layout is behaviour: Rng lanes
  * continue the stream, FlatAddrMap probe placement depends on
  * insertion order).
  */
@@ -278,37 +295,65 @@ struct SnapshotAccess
         c.value_ = v;
     }
 
+    /**
+     * A flat map saves its slot count, its size and (slot, key,
+     * value) for each occupied slot in index order: the exact probe
+     * layout, including a map that doubled past its reservation,
+     * without writing the empty slots.
+     */
     static void save(SnapshotWriter &w, const FlatAddrMap &m)
     {
-        put_vec(w, m.keys_);
-        put_vec(w, m.vals_);
+        w.put_u64(m.keys_.size());
         w.put_u64(m.size_);
+        for (std::size_t i = 0; i < m.keys_.size(); ++i) {
+            if (m.keys_[i] != FlatAddrMap::kEmptyKey) {
+                w.put_u64(i);
+                w.put_u64(m.keys_[i]);
+                w.put_u64(m.vals_[i]);
+            }
+        }
     }
 
     static void restore(SnapshotReader &r, FlatAddrMap &m)
     {
-        // The map may have doubled past its construction reservation
-        // before the snapshot was taken; accept the saved capacity.
-        get_vec(r, m.keys_, /*fixed_size=*/false);
-        get_vec(r, m.vals_, /*fixed_size=*/false);
-        m.size_ = r.get_u64();
-        if (m.keys_.size() != m.vals_.size() ||
-            (m.keys_.size() & (m.keys_.size() - 1)) != 0) {
+        const std::uint64_t slots = r.get_u64();
+        const std::uint64_t size = r.get_u64();
+        // A map only doubles once half full, so it never holds more
+        // than four slots per entry beyond its construction size.
+        if (slots == 0 || (slots & (slots - 1)) != 0 || size * 2 > slots ||
+            slots > std::max<std::uint64_t>(m.keys_.size(), 4 * size) ||
+            size > r.remaining() / 24) {
             throw SnapshotError(SnapshotErrorKind::kMalformed,
-                                "flat map slot arrays inconsistent");
+                                "flat map header inconsistent");
         }
+        // No erase: an empty map of the right capacity has nothing to
+        // clear (the usual case, a freshly built machine).
+        if (m.size_ != 0 || m.keys_.size() != slots) {
+            m.keys_.assign(slots, FlatAddrMap::kEmptyKey);
+            m.vals_.assign(slots, 0);
+        }
+        std::uint64_t next = 0;  // slots arrive in strictly rising order
+        for (std::uint64_t n = 0; n < size; ++n) {
+            const std::uint64_t slot = r.get_u64();
+            const Addr key = r.get_u64();
+            const Addr val = r.get_u64();
+            if (slot < next || slot >= slots ||
+                key == FlatAddrMap::kEmptyKey) {
+                throw SnapshotError(SnapshotErrorKind::kMalformed,
+                                    "flat map slot out of order");
+            }
+            m.keys_[slot] = key;
+            m.vals_[slot] = val;
+            next = slot + 1;
+        }
+        m.size_ = size;
     }
 
-    static void save(SnapshotWriter &w, const FrameBitmap &b)
+    /** Empty @p b, for a restore that re-derives its members. */
+    static void clear_frames(FrameBitmap &b)
     {
-        put_vec(w, b.bits_);
-        w.put_u64(b.count_);
-    }
-
-    static void restore(SnapshotReader &r, FrameBitmap &b)
-    {
-        get_vec(r, b.bits_);
-        b.count_ = r.get_u64();
+        std::fill(b.bits_.begin(), b.bits_.end(), 0);
+        b.count_ = 0;
     }
 };
 

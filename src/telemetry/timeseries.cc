@@ -77,8 +77,9 @@ Timeseries::write_jsonl(const std::string &path) const
     return static_cast<bool>(os);
 }
 
-EpochSampler::EpochSampler(std::uint64_t cadence, SampleFn fn)
-    : cadence_(cadence), next_(cadence), fn_(std::move(fn))
+EpochSampler::EpochSampler(std::uint64_t cadence, SampleFn fn,
+                           std::uint64_t start)
+    : cadence_(cadence), next_(start + cadence), fn_(std::move(fn))
 {
     SIM_REQUIRE(cadence_ > 0, "epoch-sampler cadence must be positive");
     SIM_REQUIRE(fn_ != nullptr, "epoch sampler needs a callback");
@@ -181,7 +182,7 @@ MachineSampler::sample(std::uint64_t steps)
                     double(ft.sum_hist[b] - prev.sum_hist[b]));
             }
             for (std::size_t j = 0; j < ft.num_features; ++j) {
-                char col[24];
+                char col[40];
                 std::snprintf(col, sizeof(col), "f%zu_mean_abs_w", j);
                 const std::uint64_t abs_d =
                     ft.feature_abs[j] - prev.feature_abs[j];
@@ -249,7 +250,8 @@ ScopedRunTelemetry::ScopedRunTelemetry(TelemetrySession *session,
         machine->config().epoch_insts *
         std::max<std::uint64_t>(1, machine->num_cores());
     epoch_hook_ = std::make_unique<EpochSampler>(
-        cadence, [this](std::uint64_t steps) { sampler_->sample(steps); });
+        cadence, [this](std::uint64_t steps) { sampler_->sample(steps); },
+        machine->steps());
 }
 
 ScopedRunTelemetry::~ScopedRunTelemetry()
@@ -279,13 +281,20 @@ ScopedRunTelemetry::hook(RunTickHook *inner)
 }
 
 void
-ScopedRunTelemetry::span(const char *name, const std::function<void()> &body)
+trace_phase(TelemetrySession *session, std::uint32_t pid, const char *name,
+            const std::function<void()> &body)
 {
     Tracer *tracer =
-        session_ != nullptr && session_->active() ? session_->tracer()
-                                                  : nullptr;
-    TraceSpan s(tracer, pid_, 0, name);
+        session != nullptr && session->active() ? session->tracer()
+                                                : nullptr;
+    TraceSpan s(tracer, pid, 0, name);
     body();
+}
+
+void
+ScopedRunTelemetry::span(const char *name, const std::function<void()> &body)
+{
+    trace_phase(session_, pid_, name, body);
 }
 
 }  // namespace moka

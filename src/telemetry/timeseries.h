@@ -81,7 +81,13 @@ class EpochSampler : public RunTickHook
   public:
     using SampleFn = std::function<void(std::uint64_t steps)>;
 
-    EpochSampler(std::uint64_t cadence, SampleFn fn);
+    /**
+     * @param start machine step count when sampling begins (non-zero
+     *        for a machine restored from a snapshot): the first
+     *        window ends at start + cadence
+     */
+    EpochSampler(std::uint64_t cadence, SampleFn fn,
+                 std::uint64_t start = 0);
 
     void on_tick(std::uint64_t steps) override
     {
@@ -132,10 +138,19 @@ class MachineSampler
 };
 
 /**
+ * Record phase @p name as a trace span of process @p pid around
+ * @p body (always runs; untraced when @p session is null or inactive).
+ */
+void trace_phase(TelemetrySession *session, std::uint32_t pid,
+                 const char *name, const std::function<void()> &body);
+
+/**
  * Arms epoch sampling (and an optional "warmup"/"measure" phase span)
- * for one labelled run. Inert — every method degenerates to the inner
- * hook / no-op — when @p session is null or inactive, so callers
- * construct it unconditionally.
+ * for one labelled run. Sampling counts from the machine's state at
+ * construction: build it after a snapshot restore, or the first epoch
+ * absorbs the whole restored warmup. Inert — every method degenerates
+ * to the inner hook / no-op — when @p session is null or inactive, so
+ * callers construct it unconditionally.
  *
  * On destruction, takes a final sample and writes
  * `<dir>/<label>.epochs.csv` + `.jsonl` (when the session has a

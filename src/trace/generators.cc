@@ -3,9 +3,46 @@
 #include <utility>
 
 #include "common/hashing.h"
+#include "snapshot/snapshot.h"
 
 namespace moka {
 namespace {
+
+/** Kernel kinds: the tag that leads every kernel's saved state. */
+enum class KernelKind : std::uint8_t {
+    kStream = 1,
+    kTile,
+    kCsrGraph,
+    kSeqChase,
+    kPointerChase,
+    kHashProbe,
+    kGather,
+    kDualStride,
+    kPhaseMix,
+    kBursty,
+};
+
+/** Consume the kind tag, rejecting state saved by another kernel. */
+void
+expect_kind(SnapshotReader &r, KernelKind kind)
+{
+    KernelKind saved{};
+    get_int(r, saved);
+    if (saved != kind) {
+        throw SnapshotError(SnapshotErrorKind::kMalformed,
+                            "workload kernel kind mismatch");
+    }
+}
+
+/** Reject a restored index that would address past @p bound. */
+void
+expect_below(std::uint64_t index, std::uint64_t bound, const char *what)
+{
+    if (index >= bound) {
+        throw SnapshotError(SnapshotErrorKind::kMalformed,
+                            std::string(what) + " out of range");
+    }
+}
 
 /** Sequential multi-stream sweep (see make_stream_kernel). */
 class StreamKernel : public AccessKernel
@@ -38,7 +75,25 @@ class StreamKernel : public AccessKernel
         return {a, 0x4000 + s * 16, rng.chance(p_.store_frac)};
     }
 
+    void
+    save_state(SnapshotWriter &w) const override
+    {
+        put_int(w, KernelKind::kStream);
+        put_vec(w, cursors_);
+        put_int(w, next_stream_);
+    }
+
+    void
+    restore_state(SnapshotReader &r) override
+    {
+        expect_kind(r, KernelKind::kStream);
+        get_vec(r, cursors_);
+        get_int(r, next_stream_);
+        expect_below(next_stream_, p_.streams, "stream index");
+    }
+
   private:
+    // LINT_SNAPSHOT_OK: config
     StreamParams p_;
     std::vector<Addr> cursors_;
     unsigned next_stream_ = 0;
@@ -64,7 +119,24 @@ class TileKernel : public AccessKernel
         return {a, 0x5000, rng.chance(p_.store_frac)};
     }
 
+    void
+    save_state(SnapshotWriter &w) const override
+    {
+        put_int(w, KernelKind::kTile);
+        w.put_u64(row_);
+        w.put_u64(col_);
+    }
+
+    void
+    restore_state(SnapshotReader &r) override
+    {
+        expect_kind(r, KernelKind::kTile);
+        row_ = r.get_u64();
+        col_ = r.get_u64();
+    }
+
   private:
+    // LINT_SNAPSHOT_OK: config
     TileParams p_;
     Addr row_ = 0;
     Addr col_ = 0;
@@ -129,12 +201,41 @@ class CsrGraphKernel : public AccessKernel
         }
     }
 
-  private:
-    enum class State { kOffset, kEdges, kGather };
+    void
+    save_state(SnapshotWriter &w) const override
+    {
+        put_int(w, KernelKind::kCsrGraph);
+        w.put_u64(vertex_);
+        put_int(w, degree_left_);
+        w.put_u64(edge_cursor_);
+        w.put_bool(pending_gather_);
+        put_int(w, state_);
+    }
 
+    void
+    restore_state(SnapshotReader &r) override
+    {
+        expect_kind(r, KernelKind::kCsrGraph);
+        vertex_ = r.get_u64();
+        get_int(r, degree_left_);
+        edge_cursor_ = r.get_u64();
+        pending_gather_ = r.get_bool();
+        get_int(r, state_);
+        expect_below(static_cast<std::uint64_t>(state_),
+                     static_cast<std::uint64_t>(State::kGather) + 1,
+                     "csr traversal state");
+    }
+
+  private:
+    enum class State : std::uint8_t { kOffset, kEdges, kGather };
+
+    // LINT_SNAPSHOT_OK: config
     CsrGraphParams p_;
+    // LINT_SNAPSHOT_OK: derived from the params at construction
     Addr offsets_base_ = 0;
+    // LINT_SNAPSHOT_OK: derived from the params at construction
     Addr edges_base_ = 0;
+    // LINT_SNAPSHOT_OK: derived from the params at construction
     Addr values_base_ = 0;
     std::uint64_t vertex_ = 0;
     unsigned degree_left_ = 0;
@@ -163,8 +264,24 @@ class SeqChaseKernel : public AccessKernel
         return {a, 0x7800, false, /*dependent=*/true};
     }
 
+    void
+    save_state(SnapshotWriter &w) const override
+    {
+        put_int(w, KernelKind::kSeqChase);
+        w.put_u64(cursor_);
+    }
+
+    void
+    restore_state(SnapshotReader &r) override
+    {
+        expect_kind(r, KernelKind::kSeqChase);
+        cursor_ = r.get_u64();
+    }
+
   private:
+    // LINT_SNAPSHOT_OK: config
     SeqChaseParams p_;
+    // LINT_SNAPSHOT_OK: derived from the params
     Addr blocks_ = 0;
     Addr cursor_ = 0;
 };
@@ -196,7 +313,25 @@ class PointerChaseKernel : public AccessKernel
         return {a, 0x7000 + c * 16, false, true};
     }
 
+    void
+    save_state(SnapshotWriter &w) const override
+    {
+        put_int(w, KernelKind::kPointerChase);
+        put_vec(w, cursors_);
+        put_int(w, next_chain_);
+    }
+
+    void
+    restore_state(SnapshotReader &r) override
+    {
+        expect_kind(r, KernelKind::kPointerChase);
+        get_vec(r, cursors_);
+        get_int(r, next_chain_);
+        expect_below(next_chain_, p_.chains, "chase chain index");
+    }
+
   private:
+    // LINT_SNAPSHOT_OK: config
     PointerChaseParams p_;
     std::vector<std::uint64_t> cursors_;
     unsigned next_chain_ = 0;
@@ -224,7 +359,24 @@ class HashProbeKernel : public AccessKernel
         return {a, 0x8000, rng.chance(p_.store_frac)};
     }
 
+    void
+    save_state(SnapshotWriter &w) const override
+    {
+        put_int(w, KernelKind::kHashProbe);
+        w.put_u64(cursor_);
+        put_int(w, lines_left_);
+    }
+
+    void
+    restore_state(SnapshotReader &r) override
+    {
+        expect_kind(r, KernelKind::kHashProbe);
+        cursor_ = r.get_u64();
+        get_int(r, lines_left_);
+    }
+
   private:
+    // LINT_SNAPSHOT_OK: config
     HashProbeParams p_;
     Addr cursor_ = 0;
     unsigned lines_left_ = 0;
@@ -254,7 +406,24 @@ class GatherKernel : public AccessKernel
         return {a, 0x9000, false};
     }
 
+    void
+    save_state(SnapshotWriter &w) const override
+    {
+        put_int(w, KernelKind::kGather);
+        w.put_u64(index_cursor_);
+        put_int(w, gathers_left_);
+    }
+
+    void
+    restore_state(SnapshotReader &r) override
+    {
+        expect_kind(r, KernelKind::kGather);
+        index_cursor_ = r.get_u64();
+        get_int(r, gathers_left_);
+    }
+
   private:
+    // LINT_SNAPSHOT_OK: config
     GatherParams p_;
     Addr index_cursor_ = 0;
     unsigned gathers_left_ = 0;
@@ -300,6 +469,30 @@ class DualStrideKernel : public AccessKernel
         return {a, 0xB000, false};
     }
 
+    void
+    save_state(SnapshotWriter &w) const override
+    {
+        put_int(w, KernelKind::kDualStride);
+        w.put_bool(streaming_);
+        w.put_u64(stream_cursor_);
+        put_int(w, burst_count_);
+        put_int(w, runs_left_);
+        w.put_u64(run_page_);
+        w.put_u64(run_line_);
+    }
+
+    void
+    restore_state(SnapshotReader &r) override
+    {
+        expect_kind(r, KernelKind::kDualStride);
+        streaming_ = r.get_bool();
+        stream_cursor_ = r.get_u64();
+        get_int(r, burst_count_);
+        get_int(r, runs_left_);
+        run_page_ = r.get_u64();
+        run_line_ = r.get_u64();
+    }
+
   private:
     void
     start_run(Rng &rng)
@@ -308,6 +501,7 @@ class DualStrideKernel : public AccessKernel
         run_line_ = 0;
     }
 
+    // LINT_SNAPSHOT_OK: config
     DualStrideParams p_;
     bool streaming_ = true;
     Addr stream_cursor_ = 0;
@@ -338,8 +532,37 @@ class PhaseMixKernel : public AccessKernel
         return children_[active_]->next(rng);
     }
 
+    void
+    save_state(SnapshotWriter &w) const override
+    {
+        put_int(w, KernelKind::kPhaseMix);
+        w.put_u64(children_.size());
+        w.put_u64(count_);
+        w.put_u64(active_);
+        for (const KernelPtr &child : children_) {
+            child->save_state(w);
+        }
+    }
+
+    void
+    restore_state(SnapshotReader &r) override
+    {
+        expect_kind(r, KernelKind::kPhaseMix);
+        if (r.get_u64() != children_.size()) {
+            throw SnapshotError(SnapshotErrorKind::kMalformed,
+                                "phase mix child count mismatch");
+        }
+        count_ = r.get_u64();
+        active_ = r.get_u64();
+        expect_below(active_, children_.size(), "active phase");
+        for (const KernelPtr &child : children_) {
+            child->restore_state(r);
+        }
+    }
+
   private:
     std::vector<KernelPtr> children_;
+    // LINT_SNAPSHOT_OK: config
     std::uint64_t phase_len_;
     std::uint64_t count_ = 0;
     std::size_t active_ = 0;
@@ -378,7 +601,28 @@ class BurstyKernel : public AccessKernel
         return {p_.base + (chase_ % blocks) * kBlockSize, 0xA010, false, true};
     }
 
+    void
+    save_state(SnapshotWriter &w) const override
+    {
+        put_int(w, KernelKind::kBursty);
+        w.put_u64(left_);
+        w.put_bool(streaming_);
+        w.put_u64(cursor_);
+        w.put_u64(chase_);
+    }
+
+    void
+    restore_state(SnapshotReader &r) override
+    {
+        expect_kind(r, KernelKind::kBursty);
+        left_ = r.get_u64();
+        streaming_ = r.get_bool();
+        cursor_ = r.get_u64();
+        chase_ = r.get_u64();
+    }
+
   private:
+    // LINT_SNAPSHOT_OK: config
     BurstyParams p_;
     std::uint64_t left_ = 0;
     bool streaming_ = false;
@@ -441,6 +685,24 @@ class SyntheticWorkload : public Workload
         return inst;
     }
 
+    void
+    save_state(SnapshotWriter &w) const override
+    {
+        SnapshotAccess::save(w, rng_);
+        w.put_u64(loop_iter_);
+        w.put_u64(alu_pc_);
+        kernel_->save_state(w);
+    }
+
+    void
+    restore_state(SnapshotReader &r) override
+    {
+        SnapshotAccess::restore(r, rng_);
+        loop_iter_ = r.get_u64();
+        alu_pc_ = r.get_u64();
+        kernel_->restore_state(r);
+    }
+
     const std::string &name() const override { return name_; }
 
   private:
@@ -448,8 +710,10 @@ class SyntheticWorkload : public Workload
     static constexpr Addr kBranchBase = kCodeBase + 0x2000;
     static constexpr Addr kLoopTop = kCodeBase + 0x1000;
 
+    // LINT_SNAPSHOT_OK: config
     std::string name_;
     KernelPtr kernel_;
+    // LINT_SNAPSHOT_OK: config
     InterleaveParams p_;
     Rng rng_;
     std::uint64_t loop_iter_ = 0;

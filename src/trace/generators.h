@@ -45,6 +45,19 @@ class AccessKernel
 
     /** Produce the next data reference. */
     virtual Access next(Rng &rng) = 0;
+
+    /**
+     * Serialize the kernel's cursors, led by a tag naming the kernel
+     * kind (the shared RNG belongs to the workload).
+     */
+    virtual void save_state(SnapshotWriter &w) const = 0;
+
+    /**
+     * Inverse of save_state on a kernel built with the same
+     * parameters.
+     * @throws SnapshotError kMalformed when the tag names another kind
+     */
+    virtual void restore_state(SnapshotReader &r) = 0;
 };
 
 using KernelPtr = std::unique_ptr<AccessKernel>;

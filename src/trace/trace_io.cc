@@ -5,6 +5,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "snapshot/format.h"
+
 namespace moka {
 namespace {
 
@@ -208,6 +210,26 @@ TraceFileWorkload::skip(std::uint64_t n)
         throw TraceIoError(TraceIoStatus::kTruncated,
                            "cannot seek trace " + path_);
     }
+}
+
+void
+TraceFileWorkload::save_state(SnapshotWriter &w) const
+{
+    w.put_u64(count_);
+    w.put_u64(cursor_);
+}
+
+void
+TraceFileWorkload::restore_state(SnapshotReader &r)
+{
+    const std::uint64_t count = r.get_u64();
+    const std::uint64_t cursor = r.get_u64();
+    if (count != count_ || cursor >= count_) {
+        throw SnapshotError(SnapshotErrorKind::kMalformed,
+                            "trace position does not fit " + path_);
+    }
+    cursor_ = 0;
+    skip(cursor);
 }
 
 TraceOpenResult

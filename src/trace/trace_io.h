@@ -106,6 +106,11 @@ class TraceFileWorkload : public Workload
     /** O(1) re-position: one fseek instead of n decodes. */
     void skip(std::uint64_t n) override;
 
+    /** Save the record index (and the trace length, as a guard). */
+    void save_state(SnapshotWriter &w) const override;
+    /** Seek to the saved record index (one fseek). */
+    void restore_state(SnapshotReader &r) override;
+
     const std::string &name() const override { return name_; }
 
     /** Instructions in one pass of the trace. */
@@ -114,14 +119,21 @@ class TraceFileWorkload : public Workload
   private:
     void refill();
 
+    // LINT_SNAPSHOT_OK: config
     std::string name_;
+    // LINT_SNAPSHOT_OK: config
     std::string path_;
+    // LINT_SNAPSHOT_OK: handle, positioned from cursor_ on restore
     std::FILE *file_ = nullptr;
     std::uint64_t count_ = 0;      //!< records in one trace pass
     std::uint64_t cursor_ = 0;     //!< logical index of the next record
+    // LINT_SNAPSHOT_OK: decode buffer state, reset by the seek
     std::uint64_t file_next_ = 0;  //!< next record the file will read
+    // LINT_SNAPSHOT_OK: decode buffer, refilled after the seek
     std::vector<TraceRecord> ring_;
+    // LINT_SNAPSHOT_OK: decode buffer state, reset by the seek
     std::size_t ring_pos_ = 0;     //!< next undecoded ring slot
+    // LINT_SNAPSHOT_OK: decode buffer state, reset by the seek
     std::size_t ring_filled_ = 0;  //!< valid records in the ring
 };
 

@@ -15,6 +15,9 @@
 
 namespace moka {
 
+class SnapshotReader;
+class SnapshotWriter;
+
 /** Instruction class as seen by the trace-driven core. */
 enum class OpClass : std::uint8_t {
     kAlu,     //!< non-memory, non-branch op (1-cycle, pipelined)
@@ -54,8 +57,9 @@ class Workload
     /**
      * Advance the stream by @p n instructions, discarding them. The
      * default decodes and drops; seekable sources (trace files)
-     * override with O(1) re-positioning — snapshot restore uses this
-     * to fast-forward to the retired-instruction count.
+     * override with O(1) re-positioning. Snapshot restore does not
+     * use this (it restores the saved position, see restore_state);
+     * it serves callers that start a stream at an offset.
      */
     virtual void skip(std::uint64_t n)
     {
@@ -63,6 +67,21 @@ class Workload
             (void)next();
         }
     }
+
+    /**
+     * Serialize the stream position: everything next() reads besides
+     * the construction parameters (RNG lanes, kernel cursors, a trace
+     * file's record index).
+     */
+    virtual void save_state(SnapshotWriter &w) const = 0;
+
+    /**
+     * Inverse of save_state on an instance built with the same
+     * parameters: the next instruction equals the one the saved
+     * instance would have produced.
+     * @throws SnapshotError kMalformed on a state of another kind
+     */
+    virtual void restore_state(SnapshotReader &r) = 0;
 
     /** Human-readable instance name (e.g. "gap.bfs.0"). */
     virtual const std::string &name() const = 0;

@@ -134,7 +134,6 @@ PageTable::walk_addresses(VirtAddr vaddr, std::array<PhysAddr, 5> &out)
     return 5;
 }
 
-
 void
 PageTable::save_state(SnapshotWriter &w) const
 {
@@ -145,8 +144,6 @@ PageTable::save_state(SnapshotWriter &w) const
     }
     SnapshotAccess::save(w, page_map_);
     SnapshotAccess::save(w, large_page_map_);
-    SnapshotAccess::save(w, used_frames_);
-    SnapshotAccess::save(w, used_large_frames_);
 }
 
 void
@@ -159,8 +156,39 @@ PageTable::restore_state(SnapshotReader &r)
     }
     SnapshotAccess::restore(r, page_map_);
     SnapshotAccess::restore(r, large_page_map_);
-    SnapshotAccess::restore(r, used_frames_);
-    SnapshotAccess::restore(r, used_large_frames_);
+
+    // The frame sets are derived: every frame the allocator hands out
+    // becomes the root, a table frame or a mapped page, and none is
+    // ever freed, so the maps name exactly the allocated frames.
+    const Addr half = cfg_.phys_bytes / 2;
+    const auto claim = [](FrameBitmap &set, Addr offset, Addr unit,
+                          Addr frames) {
+        if (offset % unit != 0 || offset / unit >= frames ||
+            !set.insert(static_cast<std::size_t>(offset / unit))) {
+            throw SnapshotError(SnapshotErrorKind::kMalformed,
+                                "page table frame illegal or shared");
+        }
+    };
+    SnapshotAccess::clear_frames(used_frames_);
+    const Addr frames = half / kPageSize;
+    claim(used_frames_, root_, kPageSize, frames);
+    for (const FlatAddrMap &m : tables_) {
+        for (const auto &[prefix, frame] : m) {
+            claim(used_frames_, frame, kPageSize, frames);
+        }
+    }
+    for (const auto &[vpn, frame] : page_map_) {
+        claim(used_frames_, frame, kPageSize, frames);
+    }
+    SnapshotAccess::clear_frames(used_large_frames_);
+    for (const auto &[lvpn, frame] : large_page_map_) {
+        if (frame < half) {
+            throw SnapshotError(SnapshotErrorKind::kMalformed,
+                                "large page below its partition");
+        }
+        claim(used_large_frames_, frame - half, kLargePageSize,
+              half / kLargePageSize);
+    }
 }
 
 }  // namespace moka

@@ -79,9 +79,12 @@ class PageTable
     /** True if the 2MB region containing @p vaddr uses a large page. */
     bool is_large_region(VirtAddr vaddr) const;
 
-    /** Serialize mappings, table frames, frame sets and the RNG. */
+    /** Serialize mappings, table frames and the RNG. */
     void save_state(SnapshotWriter &w) const;
-    /** Inverse of save_state on a same-config instance. */
+    /**
+     * Inverse of save_state on a same-config instance; the frame sets
+     * are re-derived from the restored maps.
+     */
     void restore_state(SnapshotReader &r);
 
   private:
@@ -98,7 +101,9 @@ class PageTable
     std::array<FlatAddrMap, 4> tables_;
     FlatAddrMap page_map_;        //!< VPN -> frame
     FlatAddrMap large_page_map_;  //!< LVPN -> frame
+    // LINT_SNAPSHOT_OK: derived from the maps by restore_state
     FrameBitmap used_frames_;           //!< 4KB frame ids
+    // LINT_SNAPSHOT_OK: derived from large_page_map_ by restore_state
     FrameBitmap used_large_frames_;     //!< 2MB frame ids
 };
 

@@ -129,7 +129,8 @@ TEST_P(CacheRestoreModelCheck, MatchesGoldenLruAcrossRestore)
             SnapshotWriter w(0);
             w.begin_section("cache");
             cache->save_state(w);
-            SnapshotReader r(w.finish());
+            const std::string bytes = w.finish();
+            SnapshotReader r(bytes);
             auto fresh = std::make_unique<Cache>(cfg, nullptr);
             r.begin_section("cache");
             fresh->restore_state(r);

@@ -2,9 +2,12 @@
  *  whole-machine byte-identity, cache, and corruption handling. */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -29,8 +32,12 @@
 #include "snapshot/cache.h"
 #include "snapshot/format.h"
 #include "snapshot/snapshot.h"
+#include "audit/access.h"
+#include "audit/audit.h"
+#include "common/hashing.h"
 #include "telemetry/gate.h"
 #include "trace/suites.h"
+#include "trace/trace_io.h"
 #include "vmem/page_table.h"
 #include "vmem/tlb.h"
 #include "vmem/walker.h"
@@ -134,10 +141,11 @@ TEST(SnapshotFormat, RejectsVersionOne)
 {
     // Version 1 stored 64-bit LRU timestamps where later versions
     // store one recency rank per way, version 2 also stored the audit
-    // cadence and version 3 the filter's telemetry counters; the
-    // layouts cannot be told apart by length alone, so the version
-    // field must reject all three.
-    ASSERT_EQ(kSnapshotVersion, 4u);
+    // cadence, version 3 the filter's telemetry counters and version
+    // 4 every page-map slot, the frame sets and no workload position;
+    // the layouts cannot be told apart by length alone, so the
+    // version field must reject all four.
+    ASSERT_EQ(kSnapshotVersion, 5u);
     for (std::uint32_t old = 1; old < kSnapshotVersion; ++old) {
         EXPECT_EQ(reject_kind(with_version(tiny_snapshot(), old)),
                   SnapshotErrorKind::kBadVersion)
@@ -166,7 +174,8 @@ TEST(SnapshotFormat, RejectsFlippedPayloadBit)
 
 TEST(SnapshotFormat, SectionNameMismatchIsMalformed)
 {
-    SnapshotReader r(tiny_snapshot());
+    const std::string bytes = tiny_snapshot();
+    SnapshotReader r(bytes);
     try {
         r.begin_section("wrong");
         ADD_FAILURE() << "mismatched section name accepted";
@@ -177,7 +186,8 @@ TEST(SnapshotFormat, SectionNameMismatchIsMalformed)
 
 TEST(SnapshotFormat, OverconsumeIsMalformed)
 {
-    SnapshotReader r(tiny_snapshot());
+    const std::string bytes = tiny_snapshot();
+    SnapshotReader r(bytes);
     r.begin_section("s");
     (void)r.get_u64();
     try {
@@ -594,6 +604,241 @@ TEST(SnapshotMachine, ConfigMismatchRejected)
     }
 }
 
+// ---------------------------------------------- workload stream position
+
+/** Save @p w's position as its own one-section container. */
+std::string
+workload_state(const Workload &w)
+{
+    SnapshotWriter sw(0);
+    sw.begin_section("workload");
+    w.save_state(sw);
+    return sw.finish();
+}
+
+/** Restore @p w from workload_state-style @p bytes. */
+void
+restore_workload(Workload &w, const std::string &bytes)
+{
+    SnapshotReader r(bytes);
+    r.begin_section("workload");
+    w.restore_state(r);
+    r.finish();
+}
+
+/** The next @p n instructions of @p a and @p b must be identical. */
+void
+expect_same_stream(Workload &a, Workload &b, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        const TraceInst x = a.next();
+        const TraceInst y = b.next();
+        ASSERT_TRUE(x.pc == y.pc && x.op == y.op &&
+                    x.mem_addr == y.mem_addr && x.taken == y.taken &&
+                    x.target == y.target && x.dep_load == y.dep_load)
+            << "instruction " << i << " differs";
+    }
+}
+
+TEST(SnapshotWorkload, EveryKernelKindResumesTheStraightStream)
+{
+    const Family families[] = {
+        Family::kStream, Family::kTile,  Family::kGather,
+        Family::kCsr,    Family::kChase, Family::kHash,
+        Family::kBursty, Family::kPhaseMix, Family::kDualStride,
+        Family::kSeqChase,
+    };
+    for (const Family family : families) {
+        const WorkloadSpec spec = pick(family);
+        SCOPED_TRACE(spec.name);
+        WorkloadPtr straight = make_workload(spec);
+        // Long enough for phase mixes to switch children and every
+        // kernel to leave its initial cursor state.
+        straight->skip(123'457);
+        const std::string bytes = workload_state(*straight);
+        WorkloadPtr resumed = make_workload(spec);
+        restore_workload(*resumed, bytes);
+        EXPECT_EQ(workload_state(*resumed), bytes);
+        expect_same_stream(*straight, *resumed, 10'000);
+    }
+}
+
+TEST(SnapshotWorkload, TraceFileResumesAtItsRecord)
+{
+    const std::string path = temp_dir("trace") + "/w.trc";
+    {
+        WorkloadPtr src = make_workload(pick(Family::kHash));
+        ASSERT_TRUE(record_trace(path, *src, 20'000));
+    }
+    // A small ring makes the resume point land mid-block and the
+    // stream wrap past the end of the trace.
+    TraceFileWorkload straight(path, 64);
+    straight.skip(13'333);
+    for (int i = 0; i < 1'000; ++i) {
+        (void)straight.next();
+    }
+    const std::string bytes = workload_state(straight);
+    TraceFileWorkload resumed(path, 64);
+    restore_workload(resumed, bytes);
+    expect_same_stream(straight, resumed, 10'000);
+}
+
+TEST(SnapshotWorkload, KernelKindMismatchIsMalformed)
+{
+    WorkloadPtr stream = make_workload(pick(Family::kStream));
+    const std::string bytes = workload_state(*stream);
+    WorkloadPtr tile = make_workload(pick(Family::kTile));
+    try {
+        restore_workload(*tile, bytes);
+        ADD_FAILURE() << "stream state restored into a tile kernel";
+    } catch (const SnapshotError &e) {
+        EXPECT_EQ(e.kind(), SnapshotErrorKind::kMalformed);
+    }
+}
+
+// ----------------------------------------------- sparse maps, frame sets
+
+/** @p m saved alone, sparse slot records included. */
+std::string
+map_state(const FlatAddrMap &m)
+{
+    SnapshotWriter w(0);
+    w.begin_section("m");
+    SnapshotAccess::save(w, m);
+    return w.finish();
+}
+
+/** Slot-order contents: equal iff the probe layouts are equal. */
+std::vector<std::pair<Addr, Addr>>
+slot_order(const FlatAddrMap &m)
+{
+    return {m.begin(), m.end()};
+}
+
+/** Restore @p bytes into a fresh map built with @p reserve. */
+FlatAddrMap
+restored_map(const std::string &bytes, std::size_t reserve)
+{
+    FlatAddrMap m(reserve);
+    SnapshotReader r(bytes);
+    r.begin_section("m");
+    SnapshotAccess::restore(r, m);
+    r.finish();
+    return m;
+}
+
+TEST(SnapshotSparseMap, GrownMapKeepsItsSlotLayout)
+{
+    FlatAddrMap m(16);  // 64 slots, doubles twice below
+    for (Addr k = 0; k < 100; ++k) {
+        *m.try_emplace(k * 7919 + 3).first = k * 4096;
+    }
+    ASSERT_EQ(m.capacity_slots(), 256u);
+    const std::string bytes = map_state(m);
+    FlatAddrMap back = restored_map(bytes, 16);
+    EXPECT_EQ(back.capacity_slots(), m.capacity_slots());
+    EXPECT_EQ(back.size(), m.size());
+    EXPECT_EQ(slot_order(back), slot_order(m));
+    EXPECT_EQ(map_state(back), bytes);
+    // Later inserts probe the same slots in both.
+    for (Addr k = 100; k < 120; ++k) {
+        *m.try_emplace(k * 7919 + 3).first = k;
+        *back.try_emplace(k * 7919 + 3).first = k;
+    }
+    EXPECT_EQ(slot_order(back), slot_order(m));
+}
+
+TEST(SnapshotSparseMap, WrappedProbeClusterKeepsItsSlots)
+{
+    FlatAddrMap m(16);  // 64 slots
+    const std::size_t mask = m.capacity_slots() - 1;
+    // Three keys that all hash to the last slot: the cluster wraps
+    // around to slots 0 and 1.
+    std::vector<Addr> keys;
+    for (Addr k = 1; keys.size() < 3; ++k) {
+        if ((mix64(k) & mask) == mask) {
+            keys.push_back(k);
+        }
+    }
+    for (const Addr k : keys) {
+        *m.try_emplace(k).first = k + 1;
+    }
+    const std::vector<std::pair<Addr, Addr>> order = slot_order(m);
+    ASSERT_EQ(order.size(), 3u);
+    EXPECT_EQ(order.front().first, keys[1]);  // slot 0: wrapped
+    const FlatAddrMap back = restored_map(map_state(m), 16);
+    EXPECT_EQ(slot_order(back), order);
+    for (const Addr k : keys) {
+        ASSERT_NE(back.find(k), back.end());
+        EXPECT_EQ(back.find(k)->second, k + 1);
+    }
+}
+
+TEST(SnapshotSparseMap, InconsistentHeaderIsMalformed)
+{
+    FlatAddrMap m(16);
+    *m.try_emplace(5).first = 1;
+    SnapshotWriter w(0);
+    w.begin_section("m");
+    w.put_u64(64);  // slots
+    w.put_u64(1);   // size
+    w.put_u64(64);  // slot index past the table
+    w.put_u64(5);
+    w.put_u64(1);
+    const std::string bytes = w.finish();
+    try {
+        (void)restored_map(bytes, 16);
+        ADD_FAILURE() << "slot index past the table accepted";
+    } catch (const SnapshotError &e) {
+        EXPECT_EQ(e.kind(), SnapshotErrorKind::kMalformed);
+    }
+}
+
+TEST(SnapshotPageTable, DerivedFrameSetsAuditCleanAndAllocateAlike)
+{
+    // A small memory makes the allocator re-draw often, so a frame
+    // set that is wrong after the restore changes later allocations.
+    VmemConfig cfg;
+    cfg.phys_bytes = Addr{64} << 20;  // 8192 4KB frames, 16 2MB frames
+    cfg.large_page_fraction = 0.4;
+    PageTable driven(cfg);
+    std::array<PhysAddr, 5> ptes{};
+    const auto touch = [&ptes](PageTable &pt, Addr first, Addr pages) {
+        for (Addr p = first; p < first + pages; ++p) {
+            const VirtAddr va{0x40000000 + p * kPageSize};
+            (void)pt.walk_addresses(va, ptes);
+            (void)pt.translate(va);
+        }
+    };
+    touch(driven, 0, 4096);  // 16MB: eight 2MB regions
+
+    SnapshotWriter w(0);
+    w.begin_section("t");
+    driven.save_state(w);
+    const std::string bytes = w.finish();
+    PageTable fresh(cfg);
+    restore_section(fresh, bytes);
+
+    AuditReport report;
+    audit::audit_page_table(fresh, report);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    EXPECT_GT(AuditAccess::large_page_map(fresh).size(), 0u);
+    EXPECT_EQ(AuditAccess::used_frames(fresh).size(),
+              AuditAccess::used_frames(driven).size());
+    EXPECT_EQ(AuditAccess::used_large_frames(fresh).size(),
+              AuditAccess::used_large_frames(driven).size());
+
+    // New pages after the restore land on the same frames.
+    touch(driven, 4096, 2048);
+    touch(fresh, 4096, 2048);
+    for (Addr p = 0; p < 6144; ++p) {
+        const VirtAddr va{0x40000000 + p * kPageSize};
+        ASSERT_EQ(fresh.translate(va).paddr, driven.translate(va).paddr)
+            << "page " << p;
+    }
+    EXPECT_EQ(section_of(fresh), section_of(driven));
+}
+
 // ------------------------------------------------------- snapshot cache
 
 TEST(SnapshotCacheTest, MissProducesThenDiskHit)
@@ -627,7 +872,7 @@ TEST(SnapshotCacheTest, MissProducesThenDiskHit)
         EXPECT_EQ(d.misses, 0u);
         EXPECT_EQ(d.saves, 0u);
         EXPECT_EQ(produced, 1);  // not produced again
-        EXPECT_EQ(*blob, tiny_snapshot());
+        EXPECT_EQ(blob->bytes(), tiny_snapshot());
     }
 }
 
@@ -814,6 +1059,106 @@ TEST(SnapshotRunner, RejectedRestoreCountsInvalidAndRunsCold)
     SnapshotCache cache(dir);
     const RunMetrics warm = run_single_workload_snapshot(
         cfg, factory, run, nullptr, cache, /*warmup_key=*/9);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().invalid, 1u);
+    EXPECT_EQ(warm.instructions, cold.instructions);
+    EXPECT_EQ(warm.cycles, cold.cycles);
+    EXPECT_EQ(warm.l1d.misses, cold.l1d.misses);
+    EXPECT_EQ(warm.llc.misses, cold.llc.misses);
+    EXPECT_EQ(warm.pgc_issued, cold.pgc_issued);
+}
+
+/**
+ * @p bytes with @p mutate applied to the payload of the first section
+ * named @p name, and that section's sum rewritten so the container
+ * still validates (a fault the sums cannot see).
+ */
+std::string
+with_section_payload(std::string bytes, const std::string &name,
+                     const std::function<void(char *, std::size_t)> &mutate)
+{
+    const auto u32_at = [&bytes](std::size_t at) {
+        std::uint32_t v = 0;
+        std::memcpy(&v, bytes.data() + at, sizeof(v));
+        return v;
+    };
+    const auto u64_at = [&bytes](std::size_t at) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, bytes.data() + at, sizeof(v));
+        return v;
+    };
+    std::size_t at = 8 + 4 + 8;  // magic, version, fingerprint
+    const std::uint32_t count = u32_at(at);
+    at += 4;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const std::uint32_t name_len = u32_at(at);
+        const std::string section = bytes.substr(at + 4, name_len);
+        at += 4 + name_len;
+        const std::uint64_t size = u64_at(at);
+        const std::size_t payload = at + 16;
+        if (section == name) {
+            mutate(bytes.data() + payload, size);
+            const std::uint64_t sum = fnv1a_64(bytes.data() + payload, size);
+            std::memcpy(bytes.data() + at + 8, &sum, sizeof(sum));
+            return bytes;
+        }
+        at = payload + size;
+    }
+    ADD_FAILURE() << "no section named " << name;
+    return bytes;
+}
+
+TEST(SnapshotRunner, CorruptWorkloadSectionIsMalformedAndRunsCold)
+{
+    const MachineConfig cfg = snap_config();
+    const WorkloadSpec spec = pick(Family::kStream);
+    RunConfig run;
+    run.warmup_insts = 10'000;
+    run.measure_insts = 20'000;
+    const WorkloadFactory factory = [&spec]() {
+        return make_workload(spec);
+    };
+    const RunMetrics cold =
+        run_single_workload(cfg, make_workload(spec), run, nullptr);
+
+    // The workload section starts after the synthetic workload's RNG
+    // lanes and two counters; its first byte is the kernel kind tag.
+    Machine warmed = build_machine(cfg, spec);
+    warmed.run(run.warmup_insts);
+    const std::string bad = with_section_payload(
+        warmed.save_snapshot(), "core.workload",
+        [](char *p, std::size_t n) {
+            ASSERT_GT(n, 48u);
+            p[48] = static_cast<char>(p[48] + 1);
+        });
+    Machine fresh = build_machine(cfg, spec);
+    try {
+        fresh.restore_snapshot(bad);
+        ADD_FAILURE() << "corrupt workload section restored";
+    } catch (const SnapshotError &e) {
+        EXPECT_EQ(e.kind(), SnapshotErrorKind::kMalformed);
+    }
+
+    // Published under the run's key, the same bytes are a cache hit
+    // the machine rejects: counted invalid, and the run goes cold.
+    const std::string dir = temp_dir("badworkload");
+    {
+        SnapshotCache cache(dir);
+        (void)run_single_workload_snapshot(cfg, factory, run, nullptr,
+                                           cache, /*warmup_key=*/4);
+    }
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        files.push_back(entry.path());
+    }
+    ASSERT_EQ(files.size(), 1u);
+    {
+        std::ofstream os(files[0], std::ios::binary | std::ios::trunc);
+        os << bad;
+    }
+    SnapshotCache cache(dir);
+    const RunMetrics warm = run_single_workload_snapshot(
+        cfg, factory, run, nullptr, cache, /*warmup_key=*/4);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().invalid, 1u);
     EXPECT_EQ(warm.instructions, cold.instructions);

@@ -14,6 +14,7 @@
 
 #include "filter/policies.h"
 #include "sim/runner.h"
+#include "snapshot/cache.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/timeseries.h"
 
@@ -312,6 +313,85 @@ TEST(RunTelemetry, WritesEpochFilesAndTrace)
     EXPECT_NE(buf.str().find("\"measure\""), std::string::npos);
     EXPECT_NE(buf.str().find("\"c0.T_a\""), std::string::npos);
     EXPECT_NE(buf.str().find("\"pid\":3"), std::string::npos);
+}
+
+/** Column @p name of every row of the epoch CSV at @p path. */
+std::vector<double>
+epoch_column(const std::string &path, const std::string &name)
+{
+    std::ifstream csv(path);
+    std::string line;
+    std::vector<double> out;
+    if (!std::getline(csv, line)) {
+        ADD_FAILURE() << "no epoch file at " << path;
+        return out;
+    }
+    std::size_t col = 0;
+    bool found = false;
+    std::stringstream header(line);
+    for (std::string cell; std::getline(header, cell, ',');) {
+        if (cell == name) {
+            found = true;
+            break;
+        }
+        ++col;
+    }
+    EXPECT_TRUE(found) << name << " missing from " << path;
+    while (found && std::getline(csv, line)) {
+        std::stringstream row(line);
+        std::string cell;
+        for (std::size_t c = 0; c <= col; ++c) {
+            std::getline(row, cell, ',');
+        }
+        out.push_back(std::stod(cell));
+    }
+    return out;
+}
+
+TEST(RunTelemetry, RestoredRunSamplesFromTheRestoredState)
+{
+#if !MOKASIM_TELEMETRY_BUILD
+    GTEST_SKIP() << "telemetry compiled out";
+#endif
+    // A warm --snapshot-dir run used to baseline its sampler before
+    // the restore, so its first epoch row counted the whole warmup
+    // (c0.insts = warmup + 1) where the cold run's has one epoch.
+    GateGuard guard;
+    const std::string dir = temp_file("restored_dir");
+    const RunConfig run{100'000, 150'000};
+    const MachineConfig cfg =
+        make_config(L1dPrefetcherKind::kBerti,
+                    scheme_dripper(L1dPrefetcherKind::kBerti));
+    const WorkloadSpec spec = seen_workloads().front();
+    {
+        TelemetrySession session(dir, "");
+        (void)run_single_workload(cfg, make_workload(spec), run, nullptr,
+                                  nullptr, &session, "cold");
+        SnapshotCache cache(dir + "/snaps");
+        const WorkloadFactory make = [&spec] { return make_workload(spec); };
+        // Even a miss measures on a restored machine.
+        (void)run_single_workload_snapshot(cfg, make, run, nullptr, cache,
+                                           /*warmup_key=*/1, nullptr,
+                                           &session, "warm");
+    }
+    const std::vector<double> cold =
+        epoch_column(dir + "/cold.epochs.csv", "c0.insts");
+    const std::vector<double> warm =
+        epoch_column(dir + "/warm.epochs.csv", "c0.insts");
+    const std::vector<double> warm_steps =
+        epoch_column(dir + "/warm.epochs.csv", "steps");
+    ASSERT_FALSE(cold.empty());
+    ASSERT_FALSE(warm.empty());
+    EXPECT_EQ(cold.front(), double(cfg.epoch_insts));
+    EXPECT_EQ(warm.front(), cold.front());
+    EXPECT_EQ(warm_steps.front(),
+              double(run.warmup_insts + cfg.epoch_insts));
+    // The restored rows add up to the measured region alone.
+    double measured = 0.0;
+    for (const double insts : warm) {
+        measured += insts;
+    }
+    EXPECT_EQ(measured, double(run.measure_insts));
 }
 
 TEST(RunTelemetry, LabelSanitizerKeepsFileNamesSafe)

@@ -12,12 +12,19 @@
 #   honouring the gate, or work that migrated into the per-step path).
 #
 # Usage: ci_perf_smoke.sh <path-to-mokasim_cli> [workdir] [out.json]
+#
+# Results go to OUT (default: BENCH_smoke.json in the work directory),
+# with BENCH_hotpath.json and BENCH_snapshot.json next to it unless
+# HOTPATH_OUT / SNAPSHOT_OUT say otherwise. They never default to the
+# repo root, whose committed BENCH_*.json files hold the gate
+# thresholds this script reads.
 set -u
 
 CLI=${1:?usage: ci_perf_smoke.sh <mokasim_cli> [workdir] [out.json]}
 WORK=${2:-$(mktemp -d)}
-OUT=${3:-BENCH_smoke.json}
-mkdir -p "$WORK"
+OUT=${3:-$WORK/BENCH_smoke.json}
+OUT_DIR=$(dirname "$OUT")
+mkdir -p "$WORK" "$OUT_DIR"
 
 WORKLOAD=parsec.stream.0
 SCHEME=dripper
@@ -129,7 +136,7 @@ fi
 # pipeline, so dripper/permit throughput collapsing below MIN_RATIO_PCT
 # means per-access work crept into the filter hot path.
 # ---------------------------------------------------------------------------
-HOTPATH_OUT=${HOTPATH_OUT:-BENCH_hotpath.json}
+HOTPATH_OUT=${HOTPATH_OUT:-$OUT_DIR/BENCH_hotpath.json}
 MIN_RATIO_PCT=${MIN_RATIO_PCT:-$(json_field \
     "$REPO_ROOT/BENCH_hotpath.json" min_ratio_pct 60)}
 
@@ -176,7 +183,7 @@ fi
 # as the warmup it replaces (serialization creep, a cache that stopped
 # hitting, or a fallback to cold warmups).
 # ---------------------------------------------------------------------------
-SNAPSHOT_OUT=${SNAPSHOT_OUT:-BENCH_snapshot.json}
+SNAPSHOT_OUT=${SNAPSHOT_OUT:-$OUT_DIR/BENCH_snapshot.json}
 MIN_SNAPSHOT_SPEEDUP_X=${MIN_SNAPSHOT_SPEEDUP_X:-$(json_field \
     "$REPO_ROOT/BENCH_snapshot.json" min_speedup_x 1.5)}
 SWEEP=${SWEEP:-$(dirname "$CLI")/sweep_tool}

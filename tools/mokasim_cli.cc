@@ -16,8 +16,12 @@
  *   mokasim_cli --list
  *
  * Schemes: discard | permit | discard-ptw | iso | ppf | ppf-dthr |
- *          dripper | dripper-sf | dripper-2mb
+ *          dripper | dripper-sf | dripper-meta | dripper-2mb
+ * Prefetchers: berti | ipcp | bop | stride | nl
+ *
+ * An unknown scheme or prefetcher name is a usage error (exit 2).
  */
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -27,6 +31,7 @@
 #include <vector>
 
 #include "filter/policies.h"
+#include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/runner.h"
 #include "telemetry/timeseries.h"
@@ -37,18 +42,21 @@ using namespace moka;
 
 namespace {
 
-SchemeConfig
-parse_scheme(const std::string &s, L1dPrefetcherKind kind)
+/** False, after a usage message, when @p name is not in @p known. */
+bool
+known_name(const char *what, const std::string &name,
+           const std::vector<std::string> &known)
 {
-    if (s == "permit") return scheme_permit();
-    if (s == "discard-ptw") return scheme_discard_ptw();
-    if (s == "iso") return scheme_iso_storage();
-    if (s == "ppf") return scheme_ppf(false);
-    if (s == "ppf-dthr") return scheme_ppf(true);
-    if (s == "dripper") return scheme_dripper(kind);
-    if (s == "dripper-sf") return scheme_dripper_sf(kind);
-    if (s == "dripper-2mb") return scheme_dripper_filter_2mb(kind);
-    return scheme_discard();
+    if (std::find(known.begin(), known.end(), name) != known.end()) {
+        return true;
+    }
+    std::fprintf(stderr, "usage: unknown %s '%s' (known:", what,
+                 name.c_str());
+    for (const std::string &k : known) {
+        std::fprintf(stderr, " %s", k.c_str());
+    }
+    std::fprintf(stderr, ")\n");
+    return false;
 }
 
 const WorkloadSpec *
@@ -159,6 +167,10 @@ main(int argc, char **argv)
         return 0;
     }
 
+    if (!known_name("scheme", scheme_name, known_scheme_names()) ||
+        !known_name("prefetcher", pf_name, known_prefetcher_names())) {
+        return 2;
+    }
     const L1dPrefetcherKind kind = parse_l1d_kind(pf_name);
     const unsigned cores =
         mix_arg.empty() ? 1
@@ -166,7 +178,7 @@ main(int argc, char **argv)
 
     MachineConfig cfg = default_config(cores);
     cfg.l1d_prefetcher = kind;
-    cfg.scheme = parse_scheme(scheme_name, kind);
+    cfg.scheme = scheme_by_name(scheme_name, kind);
     cfg.vmem.large_page_fraction = large_pages;
     if (l2pf_name == "spp") cfg.l2_prefetcher = L2PrefetcherKind::kSpp;
     if (l2pf_name == "ipcp") cfg.l2_prefetcher = L2PrefetcherKind::kIpcp;
