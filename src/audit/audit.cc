@@ -176,6 +176,7 @@ audit_cache(const Cache &cache, AuditReport &report)
 {
     const CacheConfig &cfg = cache.config();
     const std::string &name = cfg.name;
+    const Cycle next_lookup = AuditAccess::cache_next_lookup(cache);
 
     for (std::uint32_t set = 0; set < cfg.sets; ++set) {
         std::unordered_set<Addr> tags;
@@ -206,6 +207,17 @@ audit_cache(const Cache &cache, AuditReport &report)
             if (b.pgc && !cfg.track_pgc) {
                 report.fail(name, "PCB set but the cache does not track "
                                   "PCB bits");
+            }
+            // A clear in-flight bit lets a hit skip fill_done_, which
+            // is exact only if the fill has landed before any lookup
+            // the cache can still make.
+            if (!b.inflight && b.fill_done >= next_lookup) {
+                report.fail(name, "block in set " + std::to_string(set) +
+                                      " has its in-flight bit clear but "
+                                      "fills at cycle " +
+                                      std::to_string(b.fill_done) +
+                                      ", not before the next lookup at " +
+                                      std::to_string(next_lookup));
             }
         }
     }

@@ -95,6 +95,15 @@ note_alloc()
 }
 
 }  // namespace detail
+
+void
+note_raw_alloc()
+{
+#ifdef MOKASIM_ALLOC_TRACE
+    detail::note_alloc();
+#endif
+}
+
 }  // namespace moka::alloc_trace
 
 #ifdef MOKASIM_ALLOC_TRACE

@@ -47,6 +47,12 @@ void arm(const char *label);
 /** Close the window; returns allocations observed while armed. */
 std::uint64_t disarm();
 
+/**
+ * Count one allocation made outside operator new (ZeroedArray's
+ * calloc), so measured windows see it too. No-op in a normal build.
+ */
+void note_raw_alloc();
+
 /** Label passed to the last arm(), or "" (for diagnostics). */
 const char *window_label();
 

@@ -5,12 +5,17 @@
  *
  * std::unordered_map allocates one node per insertion, which makes
  * every first-touch insert on a per-access path a heap allocation.
- * FlatAddrMap stores keys and values in two parallel arrays sized at
- * construction; inserts never allocate until the table crosses a 50%
- * load factor, at which point it doubles.  Size the reservation so
- * doubling never happens in a measured region (the alloc-trace ctest
- * enforces this) and growth remains a cold, amortized event on runs
- * that outlive the reservation.
+ * FlatAddrMap stores each entry's key and value together in one
+ * 16-byte slot of an array sized at construction, so a probe reads
+ * one host cache line; inserts never allocate until the table
+ * crosses a 50% load factor, at which point it doubles.  Size the
+ * reservation so doubling never happens in a measured region (the
+ * alloc-trace ctest enforces this) and growth remains a cold,
+ * amortized event on runs that outlive the reservation.
+ *
+ * A slot stores the complement of its key, so an empty slot is all
+ * zero bytes and the table is a ZeroedArray: building a map writes
+ * none of it, and a probe faults in only the pages it reaches.
  *
  * Iteration order is deterministic for a fixed insertion sequence
  * (rule L7): slots are probed from mix64(key) and scanned in index
@@ -28,6 +33,7 @@
 #include "common/check.h"
 #include "common/hashing.h"
 #include "common/types.h"
+#include "common/zeroed_array.h"
 
 namespace moka {
 
@@ -53,8 +59,7 @@ class FlatAddrMap
         while (slots < reserve_entries * 2) {
             slots *= 2;
         }
-        keys_.assign(slots, kEmptyKey);
-        vals_.assign(slots, 0);
+        slots_ = ZeroedArray<Slot>(slots);
     }
 
     /**
@@ -67,17 +72,16 @@ class FlatAddrMap
         SIM_AUDIT(key != kEmptyKey, "flat map key collides with the "
                                     "empty sentinel");
         std::size_t i = probe(key);
-        if (keys_[i] == key) {
-            return {&vals_[i], false};
+        if (slots_[i].not_key == ~key) {
+            return {&slots_[i].val, false};
         }
-        if ((size_ + 1) * 2 > keys_.size()) {
+        if ((size_ + 1) * 2 > slots_.size()) {
             grow();
             i = probe(key);
         }
-        keys_[i] = key;
-        vals_[i] = 0;
+        slots_[i] = {~key, 0};
         ++size_;
-        return {&vals_[i], true};
+        return {&slots_[i].val, true};
     }
 
     /** Stashing const iterator yielding std::pair<Addr, Addr>. */
@@ -101,7 +105,8 @@ class FlatAddrMap
 
         const value_type &operator*() const
         {
-            cur_ = {m_->keys_[i_], m_->vals_[i_]};
+            const Slot &s = m_->slots_[i_];
+            cur_ = {~s.not_key, s.val};
             return cur_;
         }
 
@@ -127,8 +132,7 @@ class FlatAddrMap
       private:
         void settle()
         {
-            while (i_ < m_->keys_.size() &&
-                   m_->keys_[i_] == kEmptyKey) {
+            while (i_ < m_->slots_.size() && m_->slots_[i_].empty()) {
                 ++i_;
             }
         }
@@ -139,24 +143,34 @@ class FlatAddrMap
     };
 
     const_iterator begin() const { return {this, 0}; }
-    const_iterator end() const { return {this, keys_.size()}; }
+    const_iterator end() const { return {this, slots_.size()}; }
 
     const_iterator find(Addr key) const
     {
         const std::size_t i = probe(key);
-        return keys_[i] == key ? const_iterator{this, i} : end();
+        return slots_[i].not_key == ~key ? const_iterator{this, i} : end();
     }
 
     std::size_t size() const { return size_; }
-    std::size_t capacity_slots() const { return keys_.size(); }
+    std::size_t capacity_slots() const { return slots_.size(); }
 
   private:
+    /** One entry: the complemented key (0 = empty) and its value. */
+    struct Slot
+    {
+        Addr not_key = 0;
+        Addr val = 0;
+
+        bool empty() const { return not_key == 0; }
+    };
+
     /** First slot holding @p key, or the empty slot to claim. */
     std::size_t probe(Addr key) const
     {
-        const std::size_t mask = keys_.size() - 1;
+        const std::size_t mask = slots_.size() - 1;
+        const Addr not_key = ~key;
         std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        while (keys_[i] != kEmptyKey && keys_[i] != key) {
+        while (!slots_[i].empty() && slots_[i].not_key != not_key) {
             i = (i + 1) & mask;
         }
         return i;
@@ -167,19 +181,12 @@ class FlatAddrMap
         // LINT_HOT_OK: amortized doubling, reached only when a run
         // outlives the construction-time reservation; the alloc-trace
         // ctest pins it out of measured regions (rule L10).
-        std::vector<Addr> old_keys(keys_.size() * 2, kEmptyKey);
-        std::vector<Addr> old_vals(keys_.size() * 2, 0);
-        old_keys.swap(keys_);
-        old_vals.swap(vals_);
-        size_ = 0;
-        for (std::size_t i = 0; i < old_keys.size(); ++i) {
-            if (old_keys[i] == kEmptyKey) {
-                continue;
+        ZeroedArray<Slot> old(slots_.size() * 2);
+        old.swap(slots_);
+        for (const Slot &s : old) {
+            if (!s.empty()) {
+                slots_[probe(~s.not_key)] = s;
             }
-            const std::size_t j = probe(old_keys[i]);
-            keys_[j] = old_keys[i];
-            vals_[j] = old_vals[i];
-            ++size_;
         }
     }
 
@@ -188,8 +195,7 @@ class FlatAddrMap
     //! pairs would not reproduce the saved layout byte-for-byte
     friend struct SnapshotAccess;
 
-    std::vector<Addr> keys_;
-    std::vector<Addr> vals_;
+    ZeroedArray<Slot> slots_;
     std::size_t size_ = 0;
 };
 
@@ -201,7 +207,7 @@ class FlatAddrMap
 class FrameBitmap
 {
   public:
-    explicit FrameBitmap(std::size_t frames) : bits_(frames, 0) {}
+    explicit FrameBitmap(std::size_t frames) : bits_(frames) {}
 
     /** True if @p id was newly inserted. */
     bool insert(std::size_t id)
@@ -230,7 +236,7 @@ class FrameBitmap
     // footprint on a bounded partition (rule L19).  Never stored in a
     // snapshot: the owner re-derives it on restore (SnapshotAccess
     // only clears it).
-    std::vector<std::uint8_t> bits_;
+    ZeroedArray<std::uint8_t> bits_;
     std::size_t count_ = 0;
 };
 

@@ -271,38 +271,33 @@ run_sim_job(const JobSpec &spec, JobContext &ctx)
     MachineConfig cfg = make_config(kind, scheme_by_name(spec.scheme, kind));
     cfg.vmem.large_page_fraction = spec.large_page_fraction;
 
+    // The workload is built once here (a trace file is opened and
+    // validated, its name labels the row) and that build serves the
+    // run's first machine; only a further machine rebuilds it.
     WorkloadPtr workload;
     JobOutput out;
-    WorkloadFactory factory;
+    WorkloadFactory rebuild;
     if (!spec.trace_path.empty()) {
-        TraceOpenResult open = open_trace_checked(spec.trace_path);
-        if (!open.ok()) {
-            // Missing file is an operator error; damaged bytes are
-            // data corruption. Both isolate to this one job.
-            throw JobError(open.status == TraceIoStatus::kFileMissing
-                               ? JobErrorCode::kConfigInvalid
-                               : JobErrorCode::kTraceCorrupt,
-                           open.message);
-        }
-        workload = std::move(open.workload);
+        rebuild = [path = spec.trace_path]() {
+            TraceOpenResult open = open_trace_checked(path);
+            if (!open.ok()) {
+                // Missing file is an operator error; damaged bytes are
+                // data corruption. Both isolate to this one job.
+                throw JobError(open.status == TraceIoStatus::kFileMissing
+                                   ? JobErrorCode::kConfigInvalid
+                                   : JobErrorCode::kTraceCorrupt,
+                               open.message);
+            }
+            return std::move(open.workload);
+        };
+        workload = rebuild();
         out.row.workload = workload->name();
         out.row.suite = "trace";
-        factory = [path = spec.trace_path]() {
-            TraceOpenResult reopen = open_trace_checked(path);
-            if (!reopen.ok()) {
-                throw JobError(
-                    reopen.status == TraceIoStatus::kFileMissing
-                        ? JobErrorCode::kConfigInvalid
-                        : JobErrorCode::kTraceCorrupt,
-                    reopen.message);
-            }
-            return std::move(reopen.workload);
-        };
     } else {
-        workload = make_workload(spec.workload);
+        rebuild = [w = spec.workload]() { return make_workload(w); };
+        workload = rebuild();
         out.row.workload = spec.workload.name;
         out.row.suite = spec.workload.suite;
-        factory = [w = spec.workload]() { return make_workload(w); };
     }
     out.row.scheme = spec.scheme;
     out.row.prefetcher = spec.prefetcher;
@@ -311,6 +306,9 @@ run_sim_job(const JobSpec &spec, JobContext &ctx)
     const std::string label = out.row.workload + "." + spec.scheme + "." +
                               spec.prefetcher;
     if (ctx.snapshot != nullptr) {
+        const WorkloadFactory factory = [&workload, &rebuild]() {
+            return workload != nullptr ? std::move(workload) : rebuild();
+        };
         out.row.metrics = run_single_workload_snapshot(
             cfg, factory, spec.run, ctx.hook, *ctx.snapshot,
             workload_identity(spec), &audit_findings, ctx.telemetry,

@@ -501,6 +501,9 @@ Machine::Machine(const MachineConfig &cfg,
                  std::vector<WorkloadPtr> workloads)
     : cfg_(cfg)
 {
+    SIM_REQUIRE(cfg_.vmem.phys_bytes <= kMaxCachedPhysBytes,
+                "physical memory above 128 GiB: block numbers would not "
+                "fit the caches' 31-bit tags");
     dram_ = std::make_unique<Dram>(cfg_.dram);
     llc_ = std::make_unique<Cache>(cfg_.llc, dram_.get());
     std::uint64_t seed = 0x1234;
@@ -512,6 +515,7 @@ Machine::Machine(const MachineConfig &cfg,
     at_budget_.resize(cores_.size());
     run_target_.resize(cores_.size());
     run_crossed_.resize(cores_.size());
+    run_clock_.resize(cores_.size());
 }
 
 Machine::~Machine() = default;
@@ -531,8 +535,11 @@ Machine::run(InstCount insts_per_core, RunTickHook *hook)
 {
     std::vector<InstCount> &target = run_target_;
     std::vector<std::uint8_t> &crossed = run_crossed_;
-    std::size_t remaining = cores_.size();
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
+    std::vector<Cycle> &clock = run_clock_;
+    const std::size_t n = cores_.size();
+    std::size_t remaining = n;
+    for (std::size_t i = 0; i < n; ++i) {
+        clock[i] = cores_[i]->now();
         target[i] = cores_[i]->retired() + insts_per_core;
         crossed[i] = 0;
         if (cores_[i]->retired() >= target[i]) {
@@ -543,31 +550,42 @@ Machine::run(InstCount insts_per_core, RunTickHook *hook)
         }
     }
     while (remaining > 0) {
-        // Step the core whose clock is furthest behind so shared-level
-        // contention interleaves in rough time order. Finished cores
-        // keep replaying (paper §IV-A2) until all cores cross.
+        // Step the core whose clock is furthest behind (lowest index on
+        // ties) so shared-level contention interleaves in rough time
+        // order. Finished cores keep replaying (paper §IV-A2) until all
+        // cores cross. Only the picked core's clock moves while it
+        // steps, so it keeps the turn until its clock reaches @c limit:
+        // the runner-up's clock, or one past it when the runner-up has
+        // the higher index and so loses a tie. So the dense clock array
+        // is scanned once per run of steps, not once per step.
         std::size_t pick = 0;
-        Cycle best = ~Cycle{0};
-        for (std::size_t i = 0; i < cores_.size(); ++i) {
-            if (cores_[i]->now() < best) {
-                best = cores_[i]->now();
+        Cycle limit = ~Cycle{0};
+        for (std::size_t i = 1; i < n; ++i) {
+            if (clock[i] < clock[pick]) {
+                // The old pick has the lower index: it wins ties.
+                limit = std::min(limit, clock[pick]);
                 pick = i;
+            } else {
+                limit = std::min(limit, clock[i] + 1);
             }
         }
-        cores_[pick]->step();
-        ++steps_;
-        if (hook != nullptr) {
-            // LINT_HOT_OK: the tick hook is the engine's fault/
-            // watchdog/telemetry seam; it is null in measured perf
-            // runs, and hooks guard their own slow paths (rule L12).
-            hook->on_tick(steps_);
-        }
-        if (crossed[pick] == 0 &&
-            cores_[pick]->retired() >= target[pick]) {
-            crossed[pick] = 1;
-            at_budget_[pick] = cores_[pick]->metrics();
-            --remaining;
-        }
+        CoreComplex &core = *cores_[pick];
+        do {
+            core.step();
+            ++steps_;
+            if (hook != nullptr) {
+                // LINT_HOT_OK: the tick hook is the engine's fault/
+                // watchdog/telemetry seam; it is null in measured perf
+                // runs, and hooks guard their own slow paths (rule L12).
+                hook->on_tick(steps_);
+            }
+            if (crossed[pick] == 0 && core.retired() >= target[pick]) {
+                crossed[pick] = 1;
+                at_budget_[pick] = core.metrics();
+                --remaining;
+            }
+            clock[pick] = core.now();
+        } while (clock[pick] < limit && remaining > 0);
     }
     // Fill shared-structure stats machine-wide into each core's
     // budget snapshot.

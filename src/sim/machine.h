@@ -325,6 +325,8 @@ class Machine
      * instructions past its current count (cores that finish early
      * keep replaying, per the paper's multi-core methodology).
      * Records each core's cycle count at its own crossing point.
+     * Every step goes to the core with the lowest clock (now()), the
+     * lowest index on ties.
      *
      * @p hook, when non-null, is invoked after every step and may
      * throw to cancel the run (watchdog deadline, fault injection).
@@ -402,6 +404,9 @@ class Machine
     // this per step and the proxy-object bit math costs more than the
     // byte it saves (rule L19)
     std::vector<std::uint8_t> run_crossed_;
+    //! each core's now(), re-read at run() entry: the pick scans one
+    //! dense array instead of a heap object per core
+    std::vector<Cycle> run_clock_;
     std::uint64_t steps_ = 0;            //!< lifetime step count (hooks)
 };
 

@@ -6,8 +6,9 @@ class SnapshotWriter;
 class SnapshotReader;
 
 /** Seeded violations: `misses_` is missing from the inline
- *  save_state, and OutOfLineTable's `lru_` is missing from its
- *  out-of-line definition (predictor.cc). */
+ *  save_state, OutOfLineTable's `lru_` is missing from its
+ *  out-of-line definition (predictor.cc), and TrailingNote's
+ *  `cursor_` hides under the previous member's trailing annotation. */
 class InlinePredictor
 {
   public:
@@ -31,4 +32,20 @@ class OutOfLineTable
   private:
     std::vector<std::uint64_t> rows_;
     std::uint64_t lru_ = 0;
+};
+
+class TrailingNote
+{
+  public:
+    void save_state(SnapshotWriter &w) const
+    {
+        put(w, count_);
+    }
+
+  private:
+    static void put(SnapshotWriter &w, std::uint64_t v);
+
+    std::uint64_t count_ = 0;
+    std::uint64_t mirror_ = 0;  // LINT_SNAPSHOT_OK: config mirror
+    std::uint64_t cursor_ = 0;
 };

@@ -34,6 +34,24 @@ class OutOfLineTable
     std::vector<std::uint64_t> scratch_;
 };
 
+/** Trailing annotations cover their own member only. */
+class TrailingNote
+{
+  public:
+    void save_state(SnapshotWriter &w) const
+    {
+        put(w, count_);
+        put(w, cursor_);
+    }
+
+  private:
+    static void put(SnapshotWriter &w, std::uint64_t v);
+
+    std::uint64_t count_ = 0;
+    std::uint64_t mirror_ = 0;  // LINT_SNAPSHOT_OK: config mirror
+    std::uint64_t cursor_ = 0;
+};
+
 /** No save_state declared: L16 does not apply. */
 class PlainCache
 {

@@ -85,6 +85,20 @@ class FixtureCorpus(unittest.TestCase):
                     findings, f"{rule}: good fixture flagged:\n{rendered}"
                 )
 
+    def test_l16_flags_each_seeded_member(self):
+        # A trailing LINT_SNAPSHOT_OK covers its own member only, not
+        # the member declared on the next line.
+        findings = lint(CASES / "L16" / "bad", ["L16"])
+        flagged = {f.message.split("`")[1] for f in findings}
+        self.assertEqual(
+            flagged,
+            {
+                "InlinePredictor::misses_",
+                "OutOfLineTable::lru_",
+                "TrailingNote::cursor_",
+            },
+        )
+
 
 class GithubFormat(unittest.TestCase):
     def test_findings_render_as_workflow_commands(self):

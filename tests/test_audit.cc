@@ -345,6 +345,35 @@ TEST(AuditCache, DetectsSrripRrpvAboveRail)
     EXPECT_FALSE(report.ok());
 }
 
+TEST(AuditCache, DetectsClearInflightBitOnPendingFill)
+{
+    Cache l2(CacheConfig{"L2", 16, 4, 10, 8, false}, nullptr);
+    Cache cache(CacheConfig{"L1D", 16, 4, 4, 8, true}, &l2);
+    // Block 0x40 (set 0) fills at cycle 18; the hit at 100 finds it
+    // landed and clears its in-flight bit. Block 0x81 (set 1, way 0)
+    // is then still in flight.
+    cache.access(PhysAddr{0x1000}, AccessType::kLoad, 0);
+    EXPECT_TRUE(cache.access(PhysAddr{0x1000}, AccessType::kLoad, 100).hit);
+    cache.access(PhysAddr{0x2040}, AccessType::kLoad, 100);
+    ASSERT_TRUE(AuditAccess::cache_block(cache, 1, 0).valid);
+    ASSERT_TRUE(AuditAccess::cache_block(cache, 1, 0).inflight);
+    ASSERT_FALSE(AuditAccess::cache_block(cache, 0, 0).inflight);
+
+    AuditReport clean;
+    audit::audit_cache(cache, clean);
+    EXPECT_TRUE(clean.ok()) << clean.to_string();
+
+    // A clear bit on the pending fill would let the next hit skip its
+    // fill cycle.
+    AuditAccess::corrupt_cache_inflight(cache, 1, 0);
+    AuditReport report;
+    audit::audit_cache(cache, report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_NE(report.to_string().find("in-flight bit clear"),
+              std::string::npos)
+        << report.to_string();
+}
+
 // ---------------------------------------------------------------------------
 // The PCB <-> pUB cross-structure invariant
 // ---------------------------------------------------------------------------

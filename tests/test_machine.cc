@@ -65,6 +65,98 @@ TEST(Machine, RunZeroStepsNothing)
     EXPECT_EQ(m.measured(1).instructions, 0u);
 }
 
+/**
+ * After every step, checks that the core which stepped (the one whose
+ * retired count moved) had the lowest clock before the step, the
+ * lowest index on ties.
+ */
+class ScheduleCheck final : public RunTickHook
+{
+  public:
+    explicit ScheduleCheck(const Machine &m)
+        : m_(m), retired_(m.num_cores()), clock_(m.num_cores())
+    {
+        record();
+    }
+
+    void on_tick(std::uint64_t) override
+    {
+        std::size_t expect = 0;
+        for (std::size_t i = 1; i < clock_.size(); ++i) {
+            if (clock_[i] < clock_[expect]) {
+                expect = i;
+            }
+        }
+        std::size_t moved = 0;
+        for (std::size_t i = 0; i < clock_.size(); ++i) {
+            if (m_.core(i).retired() != retired_[i]) {
+                ++moved;
+                wrong_ += i != expect ? 1 : 0;
+            }
+            if (i != expect && clock_[i] == clock_[expect]) {
+                ++ties_;
+            }
+        }
+        wrong_ += moved != 1 ? 1 : 0;
+        ++steps_;
+        record();
+    }
+
+    std::uint64_t steps() const { return steps_; }
+    std::uint64_t wrong() const { return wrong_; }
+    std::uint64_t ties() const { return ties_; }
+
+  private:
+    void record()
+    {
+        for (std::size_t i = 0; i < clock_.size(); ++i) {
+            retired_[i] = m_.core(i).retired();
+            clock_[i] = m_.core(i).now();
+        }
+    }
+
+    const Machine &m_;
+    std::vector<InstCount> retired_;
+    std::vector<Cycle> clock_;
+    std::uint64_t steps_ = 0;
+    std::uint64_t wrong_ = 0;
+    std::uint64_t ties_ = 0;
+};
+
+TEST(Machine, EveryStepGoesToTheLowestClockLowestIndexOnTies)
+{
+    // Four copies of one workload keep the clocks tied much of the
+    // time, so the tie-break is exercised, not only the min.
+    MachineConfig cfg = default_config(4);
+    cfg.l1d_prefetcher = L1dPrefetcherKind::kBerti;
+    cfg.scheme = scheme_dripper(L1dPrefetcherKind::kBerti);
+    std::vector<WorkloadPtr> w;
+    for (int i = 0; i < 4; ++i) {
+        w.push_back(make_workload(pick(Family::kStream)));
+    }
+    Machine m(cfg, std::move(w));
+    ScheduleCheck check(m);
+    m.run(5'000, &check);
+    m.run(20'000, &check);  // clocks re-read at run() entry
+    EXPECT_EQ(check.steps(), m.steps());
+    EXPECT_EQ(check.wrong(), 0u);
+    EXPECT_GT(check.ties(), 1'000u);
+}
+
+TEST(MachineDeathTest, MemoryBeyondTheCacheTagsIsRejected)
+{
+    // Cache tags hold 31-bit block numbers: 128 GiB of memory at most.
+    MachineConfig cfg = default_config(1);
+    cfg.vmem.phys_bytes = 2 * kMaxCachedPhysBytes;
+    EXPECT_DEATH(
+        {
+            std::vector<WorkloadPtr> w;
+            w.push_back(make_workload(pick(Family::kStream)));
+            Machine m(cfg, std::move(w));
+        },
+        "31-bit tags");
+}
+
 TEST(Machine, DeterministicAcrossRuns)
 {
     const MachineConfig cfg =

@@ -2,6 +2,9 @@
  *  whole-machine byte-identity, cache, and corruption handling. */
 #include <gtest/gtest.h>
 
+#include <sys/inotify.h>
+#include <unistd.h>
+
 #include <array>
 #include <cmath>
 #include <cstdio>
@@ -26,6 +29,8 @@
 #include "prefetch/ipcp.h"
 #include "prefetch/spp.h"
 #include "prefetch/stride.h"
+#include "sim/experiment.h"
+#include "sim/jobs/engine.h"
 #include "sim/jobs/job.h"
 #include "sim/multicore.h"
 #include "sim/runner.h"
@@ -290,6 +295,34 @@ TEST(SnapshotComponents, CacheOverDram)
     }
     Cache fresh(ccfg, &dram_b);
     expect_round_trip(driven, fresh);
+}
+
+TEST(SnapshotComponents, CacheTagsAreAtMost31Bits)
+{
+    CacheConfig ccfg;
+    ccfg.sets = 1;
+    ccfg.ways = 1;
+    // The widest block number a tag holds round-trips.
+    const Addr widest = (Addr{1} << 31) - 1;
+    Cache driven(ccfg, nullptr);
+    (void)driven.access(PhysAddr{widest << kBlockBits}, AccessType::kLoad, 0);
+    Cache fresh(ccfg, nullptr);
+    expect_round_trip(driven, fresh);
+    EXPECT_TRUE(fresh.probe(PhysAddr{widest << kBlockBits}));
+
+    // One bit wider is malformed. The block records come first, so
+    // the restore rejects the tag before reading anything else.
+    SnapshotWriter w(0);
+    w.begin_section("t");
+    w.put_u64(Addr{1} << 31);
+    const std::string bytes = w.finish();
+    Cache target(ccfg, nullptr);
+    try {
+        restore_section(target, bytes);
+        ADD_FAILURE() << "32-bit cache tag accepted";
+    } catch (const SnapshotError &e) {
+        EXPECT_EQ(e.kind(), SnapshotErrorKind::kMalformed);
+    }
 }
 
 TEST(SnapshotComponents, Tlb)
@@ -963,6 +996,83 @@ TEST(SnapshotRunner, WarmRunMatchesColdRunExactly)
         EXPECT_EQ(warm.llc.misses, cold.llc.misses);
         EXPECT_EQ(warm.pgc_issued, cold.pgc_issued);
         EXPECT_EQ(warm.branch_mispredicts, cold.branch_mispredicts);
+    }
+}
+
+/**
+ * Opens of @p path while @p body runs, counted through inotify, or -1
+ * when the host offers no inotify instance. Reads are watched too:
+ * inotify merges an event into an identical one queued just before
+ * it, and every open of a trace reads its header before the next.
+ */
+int
+opens_of(const std::string &path, const std::function<void()> &body)
+{
+    const int fd = inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
+    if (fd < 0) {
+        return -1;
+    }
+    if (inotify_add_watch(fd, path.c_str(), IN_OPEN | IN_ACCESS) < 0) {
+        close(fd);
+        return -1;
+    }
+    body();
+    int opens = 0;
+    alignas(inotify_event) char buf[4096];
+    for (;;) {
+        const ssize_t len = read(fd, buf, sizeof(buf));
+        if (len <= 0) {
+            break;
+        }
+        for (ssize_t off = 0; off < len;) {
+            inotify_event event;
+            std::memcpy(&event, buf + off, sizeof(event));
+            opens += (event.mask & IN_OPEN) != 0 ? 1 : 0;
+            off += static_cast<ssize_t>(sizeof(event) + event.len);
+        }
+    }
+    close(fd);
+    return opens;
+}
+
+TEST(SnapshotRunner, TraceJobOpensItsTraceOncePerMachine)
+{
+    const std::string dir = temp_dir("trace_job");
+    const std::string path = dir + "/w.trc";
+    {
+        WorkloadPtr src = make_workload(pick(Family::kHash));
+        ASSERT_TRUE(record_trace(path, *src, 20'000));
+    }
+    JobSpec spec;
+    spec.trace_path = path;
+    spec.scheme = "dripper";
+    spec.prefetcher = "berti";
+    spec.run.warmup_insts = 5'000;
+    spec.run.measure_insts = 10'000;
+    SnapshotCache cache(dir + "/snaps");
+    JobContext ctx;
+    std::vector<JobOutput> outs;
+    const auto run_job = [&] { outs.push_back(run_sim_job(spec, ctx)); };
+
+    // Cold: one machine, one open.
+    const int cold = opens_of(path, run_job);
+    if (cold < 0) {
+        GTEST_SKIP() << "no inotify on this host";
+    }
+    EXPECT_EQ(cold, 1);
+    // Warm miss: the warmup machine takes the job's own build; only
+    // the restored machine opens the trace again.
+    ctx.snapshot = &cache;
+    EXPECT_EQ(opens_of(path, run_job), 2);
+    // Warm hit: the restored machine takes the job's own build.
+    EXPECT_EQ(opens_of(path, run_job), 1);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    ASSERT_EQ(outs.size(), 3u);
+    for (const JobOutput &out : outs) {
+        EXPECT_EQ(out.row.workload, "trace:" + path);
+        EXPECT_EQ(out.row.metrics.cycles, outs[0].row.metrics.cycles);
+        EXPECT_EQ(out.row.metrics.instructions,
+                  outs[0].row.metrics.instructions);
     }
 }
 

@@ -341,7 +341,9 @@ def analyze(project: Project) -> HotModel:
     for d in hot_defs:
         spans.setdefault(d.sf.rel, []).append((d.start_line, d.end_line, d))
     for lst in spans.values():
-        lst.sort()
+        # A member of a nested class is found once per enclosing class
+        # body, so two entries can share a span: never compare defs.
+        lst.sort(key=lambda span: span[:2])
 
     model = HotModel(defs, hot_keys, cold_keys, hot_defs, spans, via)
     project._hotpath_model = model  # type: ignore[attr-defined]

@@ -9,6 +9,8 @@ from tools.simlint.cppparse import balanced_braces, class_bodies, depth0
 from tools.simlint.model import Finding, Project
 from tools.simlint.registry import rule
 
+TAG = "LINT_SNAPSHOT_OK"
+
 # A class opts into the snapshot contract by declaring (or overriding)
 # save_state taking a SnapshotWriter.
 SAVE_DECL_RE = re.compile(r"\bsave_state\s*\(\s*(?:moka\s*::\s*)?SnapshotWriter\b")
@@ -44,6 +46,20 @@ def _member_lines(body: str):
         if m is not None:
             out.append((m.group(1), off))
     return out
+
+
+def _annotated(sf, line: int) -> bool:
+    """True if the member declared on 1-based *line* carries the escape
+    on its own line or on a comment-only line directly above.  A
+    trailing annotation on the previous member's line does not count:
+    it describes that member, not this one."""
+    lines = sf.raw_lines
+    if TAG in lines[line - 1]:
+        return True
+    if line < 2:
+        return False
+    above = lines[line - 2].strip()
+    return above.startswith(("//", "/*", "*")) and TAG in above
 
 
 def _inline_body(body: str) -> Optional[str]:
@@ -92,8 +108,8 @@ def check(project: Project) -> List[Finding]:
     workloads that exercise the forgotten state, which is the worst
     possible way to find out.  Annotate a member that is deliberately
     *not* serialized (config mirrors, caches rebuilt on demand, pure
-    scratch) with ``LINT_SNAPSHOT_OK: <why>`` on or just above its
-    declaration.
+    scratch) with ``LINT_SNAPSHOT_OK: <why>`` on its declaration's line
+    or on a comment-only line directly above it.
     """
     out: List[Finding] = []
     files = project.src_files()
@@ -122,7 +138,7 @@ def check(project: Project) -> List[Finding]:
             body_line = sf.code[: sf.code.index(body)].count("\n") + 1
             for member, line_off in members:
                 decl_line = body_line + line_off
-                if sf.annotated(decl_line, "LINT_SNAPSHOT_OK", lookback=1):
+                if _annotated(sf, decl_line):
                     continue
                 if re.search(r"\b" + re.escape(member) + r"\b", save_text):
                     continue
